@@ -3,8 +3,8 @@
 Subcommands: generate (synthetic series to CSV), train (single run),
 experiment (multi-run campaign), report (re-aggregate persisted runs),
 gradcheck (gradient acceptance suite). A JSON config file may supply any
-experiment field; flags override file values. The QUANTFORECAST_OUT
-environment variable prefixes relative output paths.
+experiment field, and no other key; flags override file values. The
+QUANTFORECAST_OUT environment variable prefixes relative output paths.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -23,6 +23,7 @@ from .evaluation import aggregate_runs
 from .experiment import (ExperimentConfig, emit_report, load_run_reports,
                          resolve_output_dir, run_experiment)
 from .gradsuite import run_suite
+from .models import FAMILIES
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
@@ -32,9 +33,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
                         choices=["mackey-glass", "lorenz", "bitcoin",
                                  "ethereum", "sunspot", "csv"])
     parser.add_argument("--csv-path")
-    parser.add_argument("--family",
-                        choices=["lstm", "bdlstm", "edlstm", "convlstm",
-                                 "linear"])
+    parser.add_argument("--family", choices=FAMILIES)
     parser.add_argument("--strategy", choices=["univariate", "multivariate"])
     quantile = parser.add_mutually_exclusive_group()
     quantile.add_argument("--quantile", dest="quantile", action="store_true",

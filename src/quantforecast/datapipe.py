@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import SeededRng
 from .errors import (ConfigError, DegenerateFeature, InsufficientData,
@@ -311,13 +312,10 @@ def make_windows(series: RawSeries, window: int, horizons: int,
                           f"{series.columns}")
     target_index = series.columns.index(target_column)
 
-    n = t_len - d - m + 1
-    inputs = np.empty((n, d, series.values.shape[1]))
-    targets = np.empty((n, m))
-    target_col = series.values[:, target_index]
-    for i in range(n):
-        inputs[i] = series.values[i:i + d]
-        targets[i] = target_col[i + d:i + d + m]
+    # Window i covers rows i .. i+d-1; its targets are rows i+d .. i+d+m-1.
+    inputs = sliding_window_view(series.values[:t_len - m], d, axis=0)
+    inputs = inputs.transpose(0, 2, 1).copy()
+    targets = sliding_window_view(series.values[d:, target_index], m).copy()
     return WindowedDataset(
         name=series.name, inputs=inputs, targets=targets, window=d,
         horizons=m, feature_names=list(series.columns),

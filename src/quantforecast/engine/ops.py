@@ -37,6 +37,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor):
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -167,8 +169,8 @@ def sigmoid(a) -> Tensor:
     a = _wrap(a)
     # Split by sign so exp never overflows.
     x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     def backward_fn(g):
         return [(a, g * out * (1.0 - out))]
@@ -198,28 +200,9 @@ def relu(a) -> Tensor:
 
 
 def conv1d(x, w) -> Tensor:
-    """Valid cross-correlation with stride 1.
-
-    Accepts a plain signal (L,) with kernel (K,) or a batched multichannel
-    form (B, L, Cin) with kernel (K, Cin, Cout) -> (B, L-K+1, Cout).
-    """
+    """Valid cross-correlation with stride 1 over a batched multichannel
+    signal: (B, L, Cin) with kernel (K, Cin, Cout) -> (B, L-K+1, Cout)."""
     x, w = _wrap(x), _wrap(w)
-    if x.ndim == 1 and w.ndim == 1:
-        k = w.shape[0]
-        if k > x.shape[0]:
-            raise ShapeError("conv1d", x.shape, w.shape)
-        out = np.correlate(x.data, w.data, mode="valid")
-
-        def backward_fn(g):
-            gx = np.zeros(x.shape)
-            gw = np.zeros(w.shape)
-            for j in range(k):
-                gx[j:j + out.shape[0]] += g * w.data[j]
-                gw[j] = np.dot(g, x.data[j:j + out.shape[0]])
-            return [(x, gx), (w, gw)]
-
-        return _node("conv1d", out, (x, w), backward_fn)
-
     if x.ndim != 3 or w.ndim != 3 or x.shape[2] != w.shape[1] or w.shape[0] > x.shape[1]:
         raise ShapeError("conv1d", x.shape, w.shape)
     k = w.shape[0]
@@ -239,29 +222,10 @@ def conv1d(x, w) -> Tensor:
 
 
 def conv2d(x, w) -> Tensor:
-    """Valid 2-D cross-correlation with stride 1.
-
-    Accepts a plain grid (H, W) with kernel (KH, KW) or the batched form
-    (B, H, W, Cin) with kernel (KH, KW, Cin, Cout).
-    """
+    """Valid 2-D cross-correlation with stride 1 over a batched grid:
+    (B, H, W, Cin) with kernel (KH, KW, Cin, Cout) -> (B, H-KH+1, W-KW+1,
+    Cout)."""
     x, w = _wrap(x), _wrap(w)
-    if x.ndim == 2 and w.ndim == 2:
-        kh, kw = w.shape
-        if kh > x.shape[0] or kw > x.shape[1]:
-            raise ShapeError("conv2d", x.shape, w.shape)
-        windows = sliding_window_view(x.data, (kh, kw))  # (Ho, Wo, KH, KW)
-        out = np.tensordot(windows, w.data, axes=([2, 3], [0, 1]))
-
-        def backward_fn(g):
-            gw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))
-            gx = np.zeros(x.shape)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[i:i + out.shape[0], j:j + out.shape[1]] += g * w.data[i, j]
-            return [(x, gx), (w, gw)]
-
-        return _node("conv2d", out, (x, w), backward_fn)
-
     if (x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]
             or w.shape[0] > x.shape[1] or w.shape[1] > x.shape[2]):
         raise ShapeError("conv2d", x.shape, w.shape)
@@ -355,14 +319,3 @@ OP_TABLE = {
     "reverse-time": reverse_time,
     "pinball-residual-branch": pinball_branch,
 }
-
-
-def forward(op_kind: str, inputs, **attrs) -> Tensor:
-    """Apply a named op to a list of inputs; attrs carry non-tensor arguments
-    (axis, slice bounds, target shape, quantile level, scalar factor)."""
-    if op_kind not in OP_TABLE:
-        raise ValueError(f"unknown op kind {op_kind!r}")
-    fn = OP_TABLE[op_kind]
-    if op_kind == "concat":
-        return fn(inputs, **attrs)
-    return fn(*inputs, **attrs)

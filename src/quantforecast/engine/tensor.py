@@ -82,7 +82,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), backward_fn=None, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalError(f"non-finite values in {op!r} result"
                                  + (f" (tensor {name!r})" if name else ""))
         self.data = arr
@@ -108,9 +108,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def is_leaf(self) -> bool:
-        return self.backward_fn is None
 
     def __repr__(self):
         tag = self.name or self.op

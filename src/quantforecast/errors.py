@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from dataclasses import fields
+
 
 class ForecastError(Exception):
     """Base class for all library errors."""
@@ -31,12 +33,16 @@ class ConfigError(ForecastError):
     """Inconsistent or out-of-range configuration."""
 
 
+def check_known_fields(cls, d: dict, what: str) -> None:
+    """Raise ConfigError naming every key of d that is not a field of the
+    dataclass cls."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
 class InvalidQuantile(ForecastError):
     """Quantile level outside the open interval (0, 1) or not increasing."""
-
-
-class LayoutError(ForecastError):
-    """Flat prediction block does not match the documented layout."""
 
 
 class MissingMedian(ForecastError):

@@ -129,7 +129,7 @@ def make_run_report(seed: int, targets: np.ndarray, predictions: np.ndarray,
     mean_rmse, per_horizon = rmse(targets, p[:, :, median_idx])
     if len(qs) > 1:
         per_quantile = quantile_rmse(targets, p, qs)
-        cov = coverage(targets, p, qs[0], qs[-1], qs) if len(qs) >= 2 else None
+        cov = coverage(targets, p, qs[0], qs[-1], qs)
         crossing = crossing_rate(p, qs)
     else:
         per_quantile = np.array([mean_rmse])

@@ -36,7 +36,7 @@ from .datapipe import (LorenzParams, MackeyGlassParams, RawSeries, downsample,
                        gen_lorenz, gen_mackey_glass, load_csv, make_windows,
                        normalize_and_split)
 from .engine import SeededRng
-from .errors import ConfigError, EmptyEval, IoError
+from .errors import ConfigError, EmptyEval, IoError, check_known_fields
 from .evaluation import (AggregateReport, RunReport, aggregate_runs,
                          make_run_report)
 from .losses import DEFAULT_QUANTILES, check_quantiles
@@ -113,10 +113,14 @@ class ExperimentConfig:
             self.window = 6 if is_market else 5
         if self.horizons is None:
             self.horizons = 5 if is_market else 10
-        if self.hidden1 is None or self.hidden2 is None:
-            h1, h2 = DEFAULT_HIDDEN[self.family]
-            self.hidden1 = self.hidden1 or h1
-            self.hidden2 = self.hidden2 or h2
+        h1, h2 = DEFAULT_HIDDEN[self.family]
+        if self.hidden1 is None:
+            self.hidden1 = h1
+        if self.hidden2 is None:
+            self.hidden2 = h2
+        if self.hidden1 < 1 or self.hidden2 < 1:
+            raise ConfigError(f"hidden sizes must be >= 1, got "
+                              f"{self.hidden1} and {self.hidden2}")
         if self.epochs is None:
             self.epochs = 100 if is_market else 300
 
@@ -127,6 +131,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        check_known_fields(cls, d, "experiment config")
         d = dict(d)
         if "quantiles" in d:
             d["quantiles"] = tuple(d["quantiles"])
@@ -240,12 +245,9 @@ def _run_to_files(config: ExperimentConfig, series: RawSeries, seed: int,
 
 
 def _pool_entry(args) -> tuple[int, dict | None, str | None]:
-    config_dict, seed = args
-    config = ExperimentConfig.from_dict(config_dict)
-    series = build_series(config)
-    out_dir = Path(config.output_dir)
+    config, series, seed = args
     try:
-        report = _run_to_files(config, series, seed, out_dir)
+        report = _run_to_files(config, series, seed, Path(config.output_dir))
         return seed, report.to_dict(), None
     except Exception as exc:  # recorded, campaign continues
         return seed, None, f"{type(exc).__name__}: {exc}"
@@ -263,8 +265,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     reports: list[RunReport] = []
     failures: list[dict] = []
 
+    series = build_series(config)
     if config.workers > 1:
-        jobs = [(config.to_dict(), s) for s in seeds]
+        jobs = [(config, series, s) for s in seeds]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_pool_entry, jobs))
         for seed, rep, err in results:
@@ -273,7 +276,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             else:
                 failures.append({"seed": seed, "error": err})
     else:
-        series = build_series(config)
         for seed in seeds:
             try:
                 reports.append(_run_to_files(config, series, seed, out_dir))

@@ -6,12 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import (GradCheckReport, SeededRng, Tensor, concat, conv1d,
-                     conv2d, forward, grad_check, hadamard, matmul,
-                     pinball_branch, reduce_mean, reduce_sum, relu, reshape,
-                     reverse_time, scalar_mul, sigmoid, slice_axis, sub,
-                     tanh, transpose, add)
+                     conv2d, grad_check, hadamard, matmul, pinball_branch,
+                     reduce_mean, reduce_sum, relu, reshape, reverse_time,
+                     scalar_mul, sigmoid, slice_axis, sub, tanh, transpose,
+                     add)
 from .losses import quantile_loss_batch
-from .models import ModelSpec, build_model, forward_pass
+from .models import FAMILIES, ModelSpec, build_model, forward_pass
 
 TOY_HIDDEN = 3
 TOY_WINDOW = 4
@@ -110,8 +110,7 @@ def check_all_families(seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
     """Full-model gradient check per family at toy sizes, through the
     quantile loss."""
     reports: dict[str, GradCheckReport] = {}
-    families = ("lstm", "bdlstm", "edlstm", "convlstm", "linear")
-    for fam_idx, family in enumerate(families):
+    for fam_idx, family in enumerate(FAMILIES):
         for f in features:
             rng = SeededRng(seed).child(fam_idx).child(f)
             spec = ModelSpec(family=family, features=f, window=TOY_WINDOW,

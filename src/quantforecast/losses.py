@@ -1,9 +1,7 @@
 """Pinball (check) loss, its batched aggregation, and MSE for classic models.
 
-Predictions carry one value per (horizon, quantile) cell. Two output
-layouts are supported: the vector form (batch, horizons, levels) and the
-flat grouped form (batch, horizons * levels) laid out horizon-major, i.e.
-[h1q1 .. h1qK, h2q1 .. h2qK, ...]; a C-order reshape converts between them.
+Predictions carry one value per (horizon, quantile) cell, laid out as
+(batch, horizons, levels); targets are (batch, horizons).
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Tensor, pinball_branch, reduce_mean, reshape, sub
-from .errors import InvalidQuantile, LayoutError, MissingMedian, ShapeError
+from .errors import InvalidQuantile, MissingMedian, ShapeError
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -60,7 +58,6 @@ def quantile_loss_batch(targets: np.ndarray, predictions, quantiles) -> LossValu
     """Mean pinball loss of (batch, horizons, levels) predictions against
     (batch, horizons) targets replicated across the quantile axis.
 
-    Flat (batch, horizons*levels) predictions are re-indexed horizon-major.
     Graph tensors keep a differentiable total in LossValue.node.
     """
     qs = check_quantiles(quantiles)
@@ -70,24 +67,12 @@ def quantile_loss_batch(targets: np.ndarray, predictions, quantiles) -> LossValu
     batch, horizons = targets.shape
     k = len(qs)
 
-    is_tensor = isinstance(predictions, Tensor)
-    pred_shape = predictions.shape
-    if len(pred_shape) == 2:
-        if pred_shape != (batch, horizons * k):
-            raise LayoutError(
-                f"flat predictions {pred_shape} do not match "
-                f"(batch={batch}, horizons*levels={horizons * k})")
-        if is_tensor:
-            predictions = reshape(predictions, (batch, horizons, k))
-        else:
-            predictions = np.asarray(predictions, dtype=np.float64).reshape(
-                batch, horizons, k)
-    elif len(pred_shape) != 3 or pred_shape != (batch, horizons, k):
-        raise ShapeError("quantile-loss", targets.shape, pred_shape)
+    if predictions.shape != (batch, horizons, k):
+        raise ShapeError("quantile-loss", targets.shape, predictions.shape)
 
     q_arr = np.asarray(qs).reshape(1, 1, k)
     tiled = np.repeat(targets[:, :, None], k, axis=2)
-    if is_tensor:
+    if isinstance(predictions, Tensor):
         u = sub(Tensor(tiled), predictions)
         cells = pinball_branch(u, q_arr)
         node = reduce_mean(cells)

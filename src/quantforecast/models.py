@@ -26,8 +26,8 @@ gate blocks ordered [input, forget, cell, output] along the fused axis):
   head.w       (width, m*K) or (h2, K) for edlstm, glorot
   head.b       matching head.w columns, zeros
 
-The head is linear (no output activation). Predictions are produced as
-(batch, m, K); the flat grouped view is the horizon-major C-order reshape.
+The head is linear (no output activation). forward_pass is the one entry
+point; it emits predictions as (batch, m, K).
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .engine import (SeededRng, Tensor, add, concat, conv1d, conv2d, matmul,
                      relu, reshape, reverse_time, sigmoid, slice_axis, tanh,
                      tensor_new)
 from .engine import hadamard
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import (ConfigError, NumericalError, ShapeError,
+                     check_known_fields)
 from .losses import check_quantiles
 
 FAMILIES = ("lstm", "bdlstm", "edlstm", "convlstm", "linear")
-OUTPUT_LAYOUTS = ("vector", "grouped")
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class ModelSpec:
     quantiles: tuple[float, ...] = (0.5,)
     conv_filters: int = 64
     conv_kernel: int = 2
-    output_layout: str = "vector"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -71,8 +70,6 @@ class ModelSpec:
                 f"f={self.features}, d={self.window}, m={self.horizons}")
         if self.hidden1 < 1 or self.hidden2 < 1:
             raise ConfigError("hidden sizes must be >= 1")
-        if self.output_layout not in OUTPUT_LAYOUTS:
-            raise ConfigError(f"unknown output layout {self.output_layout!r}")
         if self.family == "convlstm" and self.conv_kernel > self.window:
             raise ConfigError("conv kernel longer than the window")
         object.__setattr__(self, "quantiles", check_quantiles(self.quantiles))
@@ -88,12 +85,15 @@ class ModelSpec:
             "hidden1": self.hidden1, "hidden2": self.hidden2,
             "quantiles": list(self.quantiles),
             "conv_filters": self.conv_filters, "conv_kernel": self.conv_kernel,
-            "output_layout": self.output_layout,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         d = dict(d)
+        # v1 checkpoints carry the retired output-layout setting; it never
+        # changed the predictions, so it is dropped.
+        d.pop("output_layout", None)
+        check_known_fields(cls, d, "model spec")
         d["quantiles"] = tuple(d["quantiles"])
         return cls(**d)
 
@@ -105,18 +105,11 @@ class Model:
         self.spec = spec
         self.params = params
 
-    def forward(self, windows, trace: dict | None = None) -> Tensor:
-        return _forward(self, windows, trace)
-
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
-            p.data[...] = snapshot[name]
 
 
 def _lstm_params(rng: SeededRng, prefix: str, n_in: int, hidden: int,
@@ -251,9 +244,13 @@ def bidirectional_sequence(model: Model, x: Tensor) -> Tensor:
     return _stack_steps(merged)
 
 
-def _forward(model: Model, windows, trace: dict | None = None) -> Tensor:
+def forward_pass(model: Model, window_batch) -> Tensor:
+    """Predictions of shape (batch, horizons, levels) for a window batch of
+    shape (batch, window, features). Non-finite intermediates raise
+    NumericalError naming the layer that produced them."""
     spec = model.spec
-    x = windows if isinstance(windows, Tensor) else Tensor(windows)
+    x = (window_batch if isinstance(window_batch, Tensor)
+         else Tensor(window_batch))
     if x.ndim != 3 or x.shape[1] != spec.window or x.shape[2] != spec.features:
         raise ShapeError("forward-pass", x.shape,
                          ("batch", spec.window, spec.features))
@@ -290,10 +287,7 @@ def _forward(model: Model, windows, trace: dict | None = None) -> Tensor:
                             spec.hidden2, batch)
             stage = "head"
             steps = [reshape(_dense(h, params), (batch, 1, k)) for h in dec]
-            pred = concat(steps, axis=1)
-            if trace is not None:
-                trace["decoder_steps"] = len(dec)
-            return pred
+            return concat(steps, axis=1)
         elif spec.family == "convlstm":
             stage = "conv"
             if spec.features == 1:
@@ -304,8 +298,6 @@ def _forward(model: Model, windows, trace: dict | None = None) -> Tensor:
                 conv = reshape(conv, (batch, spec.window - spec.conv_kernel + 1,
                                       spec.conv_filters))
             conv = relu(add(conv, params["conv.b"]))
-            if trace is not None:
-                trace["conv_length"] = conv.shape[1]
             stage = "lstm1"
             seq = _run_lstm(_split_steps(conv), _stage_params(params, "lstm1"),
                             spec.hidden1, batch)
@@ -320,20 +312,6 @@ def _forward(model: Model, windows, trace: dict | None = None) -> Tensor:
     except NumericalError as exc:
         raise NumericalError(f"{spec.family} {stage}: {exc}") from exc
     return reshape(out, (batch, m, k))
-
-
-def forward_pass(model: Model, window_batch) -> Tensor:
-    """Predictions of shape (batch, horizons, levels) for a window batch of
-    shape (batch, window, features). Non-finite intermediates raise
-    NumericalError naming the layer that produced them."""
-    return _forward(model, window_batch)
-
-
-def forward_flat(model: Model, window_batch) -> Tensor:
-    """Grouped (horizon-major) flat view: (batch, horizons * levels)."""
-    pred = _forward(model, window_batch)
-    batch = pred.shape[0]
-    return reshape(pred, (batch, model.spec.horizons * model.spec.levels))
 
 
 # --- checkpoint container -------------------------------------------------

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from quantforecast.engine import (SeededRng, Tensor, add, backward, concat,
-                                  conv1d, grad_check, hadamard, matmul,
-                                  pinball_branch, reduce_mean, reduce_sum,
-                                  reshape, scalar_mul, sigmoid, slice_axis,
-                                  tanh, tensor_new)
+from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, backward,
+                                  concat, conv1d, grad_check, hadamard,
+                                  matmul, pinball_branch, reduce_mean,
+                                  reduce_sum, reshape, scalar_mul, sigmoid,
+                                  slice_axis, tanh, tensor_new)
 from quantforecast.errors import NotScalar
 from quantforecast.gradsuite import check_all_families, check_all_ops
+from quantforecast.models import FAMILIES
 
 
 def central_difference(loss_fn, param, h=1e-5):
@@ -170,10 +171,12 @@ class TestGradCheckHarness:
 class TestSuiteProperties:
     def test_every_op_kind_passes_randomised_check(self):
         reports = check_all_ops(seed=3, trials=3)
+        assert set(reports) == set(OP_TABLE)
         for name, report in reports.items():
             assert report.passed, f"{name}: {report.lines()}"
 
     def test_every_family_passes_at_toy_size(self):
         reports = check_all_families(seed=3)
+        assert {name.split("/")[0] for name in reports} == set(FAMILIES)
         for name, report in reports.items():
             assert report.passed, f"{name}: {report.lines()}"

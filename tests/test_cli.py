@@ -61,6 +61,17 @@ class TestExperimentCommand:
         assert main(["experiment", "--runs", "1"]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_config_file_key_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"dataset": "mackey-glass",
+                                    "family": "linear", "epoch": 5}))
+        code = main(["experiment", "--config", str(path), "--runs", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "epoch" in err
+        assert not (tmp_path / "config.json").exists()
+
     def test_invalid_combination_exit_1(self, tmp_path, capsys):
         code = main(["experiment", "--dataset", "mackey-glass",
                      "--family", "linear", "--strategy", "multivariate",

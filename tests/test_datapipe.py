@@ -168,6 +168,7 @@ class TestMakeWindows:
         series = RawSeries("s", ["a", "b", "c"], values)
         d, m = 5, 4
         ds = make_windows(series, d, m, target_column="b")
+        assert ds.inputs.flags.c_contiguous and ds.targets.flags.c_contiguous
         for i in range(ds.count):
             assert np.array_equal(ds.inputs[i], values[i:i + d])
             assert np.array_equal(ds.targets[i], values[i + d:i + d + m, 1])

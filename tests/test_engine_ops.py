@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, concat,
-                                  conv1d, conv2d, forward, hadamard, matmul,
+                                  conv1d, conv2d, hadamard, matmul,
                                   pinball_branch, reduce_mean, reduce_sum,
                                   relu, reshape, reverse_time, scalar_mul,
                                   sigmoid, slice_axis, sub, tanh, tensor_new,
@@ -57,23 +57,47 @@ class TestOpValues:
         out = sigmoid(Tensor([-1000.0, 1000.0]))
         assert out.data[0] == 0.0 and out.data[1] == 1.0
 
-    def test_conv1d_sliding_dot_product(self):
-        out = conv1d(Tensor([1, 2, 3, 4]), Tensor([1, 1]))
-        assert out.data.tolist() == [3, 5, 7]
+    def test_sigmoid_bitwise_equals_sign_split_formula(self, rng):
+        x = np.concatenate([rng.normal(scale=s, size=500)
+                            for s in (1e-8, 1.0, 10.0, 300.0)]
+                           + [[0.0, -0.0, 708.0, -708.0, 746.0, -746.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos = 1.0 / (1.0 + np.exp(-x))
+            neg = np.exp(x) / (1.0 + np.exp(x))
+        expected = np.where(x >= 0, pos, neg)
+        assert sigmoid(Tensor(x)).data.tobytes() == expected.tobytes()
 
-    def test_conv1d_batched_matches_plain(self):
+    def test_conv1d_sliding_dot_product(self):
+        out = conv1d(Tensor(np.reshape([1, 2, 3, 4], (1, 4, 1))),
+                     Tensor(np.ones((2, 1, 1))))
+        assert out.shape == (1, 3, 1)
+        assert out.data.ravel().tolist() == [3, 5, 7]
+
+    def test_conv1d_batched_matches_plain(self, rng):
         signal = np.array([0.5, -1.0, 2.0, 0.25, 3.0])
         kernel = np.array([2.0, -0.5])
-        plain = conv1d(Tensor(signal), Tensor(kernel)).data
         batched = conv1d(Tensor(signal.reshape(1, 5, 1)),
                          Tensor(kernel.reshape(2, 1, 1))).data
-        assert np.allclose(batched.ravel(), plain)
+        assert np.allclose(batched.ravel(),
+                           np.correlate(signal, kernel, mode="valid"))
+        # several channels: each filter sums its per-channel correlations
+        x = rng.normal(size=(2, 6, 3))
+        w = rng.normal(size=(2, 3, 4))
+        out = conv1d(Tensor(x), Tensor(w)).data
+        assert out.shape == (2, 5, 4)
+        for b in range(2):
+            for o in range(4):
+                expected = sum(np.correlate(x[b, :, c], w[:, c, o], "valid")
+                               for c in range(3))
+                assert np.allclose(out[b, :, o], expected)
 
     def test_conv2d_hand_case(self):
-        x = Tensor([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        k = Tensor([[1, 0], [0, 1]])
+        x = Tensor(np.reshape([[1, 2, 3], [4, 5, 6], [7, 8, 9]], (1, 3, 3, 1)))
+        k = Tensor(np.reshape([[1, 0], [0, 1]], (2, 2, 1, 1)))
         # each output = x[i,j] + x[i+1,j+1]
-        assert conv2d(x, k).data.tolist() == [[6, 8], [12, 14]]
+        out = conv2d(x, k)
+        assert out.shape == (1, 2, 2, 1)
+        assert out.data[0, :, :, 0].tolist() == [[6, 8], [12, 14]]
 
     def test_tanh_relu(self):
         assert tanh(Tensor([0.0])).data[0] == 0.0
@@ -165,14 +189,15 @@ class TestStructuralProperties:
         assert build(42) == build(42)
 
     def test_forward_dispatch_covers_op_table(self):
+        # a table entry is the op itself and records its key as op kind
         a = Tensor([[1.0, 2.0]])
         b = Tensor([[3.0], [4.0]])
-        out = forward("matmul", [a, b])
-        assert out.data.tolist() == [[11.0]]
-        out = forward("concat", [a, a], axis=0)
-        assert out.shape == (2, 2)
-        out = forward("slice", [a], axis=1, start=0, stop=1)
-        assert out.data.tolist() == [[1.0]]
+        out = OP_TABLE["matmul"](a, b)
+        assert out.op == "matmul" and out.data.tolist() == [[11.0]]
+        out = OP_TABLE["concat"]([a, a], axis=0)
+        assert out.op == "concat" and out.shape == (2, 2)
+        out = OP_TABLE["slice"](a, axis=1, start=0, stop=1)
+        assert out.op == "slice" and out.data.tolist() == [[1.0]]
         assert set(OP_TABLE) == {
             "matmul", "add", "sub", "hadamard", "scalar-mul", "concat",
             "slice", "reshape", "transpose", "sigmoid", "tanh", "relu",

@@ -60,6 +60,22 @@ class TestConfigValidation:
         b = ExperimentConfig.from_dict(a.to_dict())
         assert a == b
 
+    def test_from_dict_names_unknown_keys(self, tmp_path):
+        d = tiny_config(tmp_path).to_dict()
+        d.update(epoch=3, hiden1=4)
+        with pytest.raises(ConfigError, match="epoch, hiden1"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("sizes", [dict(hidden1=0), dict(hidden2=0),
+                                       dict(hidden1=-2, hidden2=5)])
+    def test_non_positive_hidden_size_rejected(self, tmp_path, sizes):
+        with pytest.raises(ConfigError, match="hidden"):
+            tiny_config(tmp_path, family="lstm", **sizes)
+
+    def test_unset_hidden_sizes_take_family_defaults(self, tmp_path):
+        config = tiny_config(tmp_path, family="lstm", hidden2=7)
+        assert (config.hidden1, config.hidden2) == (50, 7)
+
 
 class TestBuildSeries:
     def test_generated_series_pinned_by_data_seed(self, tmp_path):
@@ -129,6 +145,19 @@ class TestRunExperiment:
         sequential = (tmp_path / "seq" / "aggregate.csv").read_bytes()
         parallel = (tmp_path / "par" / "aggregate.csv").read_bytes()
         assert sequential == parallel
+
+    def test_parallel_workers_build_series_once(self, tmp_path, monkeypatch):
+        import quantforecast.experiment as exp
+
+        calls = []
+        original = exp.build_series
+        def counted(config):
+            calls.append(config.name)
+            return original(config)
+
+        monkeypatch.setattr(exp, "build_series", counted)
+        run_experiment(tiny_config(tmp_path, workers=2))
+        assert calls == ["tiny"]
 
     def test_quantile_deep_run_emits_diagnostics(self, tmp_path):
         config = tiny_config(tmp_path, family="edlstm", hidden1=3, hidden2=3,

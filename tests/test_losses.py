@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from quantforecast.engine import Tensor, backward
-from quantforecast.errors import (InvalidQuantile, LayoutError, MissingMedian,
-                                  ShapeError)
+from quantforecast.errors import InvalidQuantile, MissingMedian, ShapeError
 from quantforecast.losses import (DEFAULT_QUANTILES, check_quantiles,
                                   median_extract, mse_loss_batch, pinball,
                                   quantile_loss_batch)
@@ -86,20 +85,15 @@ class TestQuantileLossBatch:
         assert value.total == pytest.approx(float(value.breakdown.mean()))
         assert np.all(value.breakdown >= 0.0)
 
-    def test_grouped_flat_layout_reindexed(self, rng):
-        targets = rng.normal(size=(3, 2))
-        preds = rng.normal(size=(3, 2, 2))
-        quantiles = (0.25, 0.75)
-        vector = quantile_loss_batch(targets, preds, quantiles)
-        # horizon-major flat block [h1q1, h1q2, h2q1, h2q2]
-        flat = preds.reshape(3, 4)
-        grouped = quantile_loss_batch(targets, flat, quantiles)
-        assert grouped.total == pytest.approx(vector.total)
-
     def test_flat_layout_mismatch(self):
-        with pytest.raises(LayoutError):
-            quantile_loss_batch(np.zeros((3, 2)), np.zeros((3, 5)),
-                                (0.25, 0.75))
+        # only the (batch, horizons, levels) layout is accepted, even when
+        # a flat block has the right number of cells
+        for flat in (np.zeros((3, 4)), np.zeros((3, 5))):
+            with pytest.raises(ShapeError):
+                quantile_loss_batch(np.zeros((3, 2)), flat, (0.25, 0.75))
+            with pytest.raises(ShapeError):
+                quantile_loss_batch(np.zeros((3, 2)), Tensor(flat),
+                                    (0.25, 0.75))
 
     def test_gradient_matches_finite_difference(self, rng):
         targets = rng.normal(size=(3, 2))

@@ -1,15 +1,18 @@
 """Architecture wiring, parameter inventories, and the LSTM cell against an
 independent straight-line oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
-from quantforecast.engine import SeededRng, Tensor, tensor_new
+from quantforecast.engine import SeededRng, Tensor, conv1d, tensor_new
 from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
 from quantforecast.models import (Model, ModelSpec, bidirectional_sequence,
-                                  build_model, forward_flat, forward_pass,
-                                  load_model, lstm_cell_step, save_model)
+                                  build_model, forward_pass, load_model,
+                                  lstm_cell_step, model_from_dict,
+                                  model_to_dict, save_model)
 
 
 def reference_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
@@ -129,17 +132,16 @@ class TestBuildShapes:
         spec = ModelSpec(family="convlstm", features=1, window=6, horizons=5,
                          hidden1=20, hidden2=20)
         model = build_model(spec, SeededRng(0))
-        trace = {}
-        model.forward(np.zeros((2, 6, 1)), trace=trace)
-        assert trace["conv_length"] == 5  # d - kernel + 1
+        window = np.zeros((2, 6, 1))
+        conv = conv1d(Tensor(window), model.params["conv.w"])
+        assert conv.shape == (2, 5, 64)  # d - kernel + 1
+        assert forward_pass(model, window).shape == (2, 5, 1)
 
     def test_decoder_emits_exactly_m_steps(self):
         for m in (1, 3, 7):
             spec = toy_spec("edlstm", horizons=m)
             model = build_model(spec, SeededRng(4))
-            trace = {}
-            pred = model.forward(np.zeros((2, 4, 1)), trace=trace)
-            assert trace["decoder_steps"] == m
+            pred = forward_pass(model, np.zeros((2, 4, 1)))
             assert pred.shape == (2, m, 1)
 
     def test_changing_horizons_keeps_encoder_parameters(self):
@@ -222,15 +224,6 @@ class TestForwardPass:
             forward_pass(model, np.zeros((1, 4, 1)))
         assert "edlstm decoder" in str(err.value)
 
-    def test_flat_view_is_horizon_major(self, rng):
-        model = build_model(toy_spec("edlstm", quantiles=(0.25, 0.5, 0.75)),
-                            SeededRng(5))
-        window = rng.normal(size=(2, 4, 1))
-        vector = forward_pass(model, window).data
-        flat = forward_flat(model, window).data
-        assert flat.shape == (2, 6)
-        assert np.array_equal(flat.reshape(2, 2, 3), vector)
-
     def test_trained_toy_model_fits_constant_series(self):
         from quantforecast.datapipe import WindowedDataset
         from quantforecast.training import TrainConfig, train
@@ -301,3 +294,25 @@ class TestCheckpointRoundTrip:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ConfigError):
             load_model(path)
+
+    def test_checkpoint_with_output_layout_key_predicts_identically(
+            self, tmp_path, rng):
+        # v1 checkpoints written while the spec had an output-layout field
+        model = build_model(toy_spec("edlstm", quantiles=(0.25, 0.5, 0.75)),
+                            SeededRng(5))
+        for layout in ("vector", "grouped"):
+            payload = model_to_dict(model)
+            payload["spec"]["output_layout"] = layout
+            path = tmp_path / f"{layout}.json"
+            path.write_text(json.dumps(payload))
+            clone = load_model(path)
+            assert clone.spec == model.spec
+            window = rng.normal(size=(2, 4, 1))
+            assert np.array_equal(forward_pass(clone, window).data,
+                                  forward_pass(model, window).data)
+
+    def test_rejects_unknown_spec_key(self):
+        payload = model_to_dict(build_model(toy_spec("lstm"), SeededRng(0)))
+        payload["spec"]["hidden3"] = 4
+        with pytest.raises(ConfigError, match="hidden3"):
+            model_from_dict(payload)
