@@ -20,7 +20,8 @@ from .datapipe import LorenzParams, MackeyGlassParams, gen_lorenz, \
     gen_mackey_glass, write_series_csv
 from .errors import ConfigError, ForecastError
 from .evaluation import aggregate_runs
-from .experiment import (ExperimentConfig, emit_report, load_run_reports,
+from .experiment import (FILE_DATASETS, GENERATED_DATASETS, STRATEGIES,
+                         ExperimentConfig, emit_report, load_run_reports,
                          resolve_output_dir, run_experiment)
 from .gradsuite import run_suite
 from .models import FAMILIES
@@ -30,11 +31,10 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with experiment fields")
     parser.add_argument("--name")
     parser.add_argument("--dataset",
-                        choices=["mackey-glass", "lorenz", "bitcoin",
-                                 "ethereum", "sunspot", "csv"])
+                        choices=GENERATED_DATASETS + FILE_DATASETS)
     parser.add_argument("--csv-path")
     parser.add_argument("--family", choices=FAMILIES)
-    parser.add_argument("--strategy", choices=["univariate", "multivariate"])
+    parser.add_argument("--strategy", choices=STRATEGIES)
     quantile = parser.add_mutually_exclusive_group()
     quantile.add_argument("--quantile", dest="quantile", action="store_true",
                           default=None)

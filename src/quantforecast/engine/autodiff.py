@@ -66,6 +66,9 @@ def backward(loss: Tensor, params=None) -> Gradients:
 
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones(loss.shape)}
+    # Sums this pass allocated itself; only these are added to in place,
+    # since a gradient an op hands back may be a view shared with others.
+    owned: set[int] = set()
     table: dict[int, np.ndarray] = {}
     for node in reversed(order):
         g = grads.pop(node.node_id, None)
@@ -76,8 +79,15 @@ def backward(loss: Tensor, params=None) -> Gradients:
                 table[node.node_id] = g
             continue
         for parent, pg in node.backward_fn(g):
-            acc = grads.get(parent.node_id)
-            grads[parent.node_id] = pg if acc is None else acc + pg
+            key = parent.node_id
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = pg
+            elif key in owned:
+                acc += pg
+            else:
+                grads[key] = acc + pg
+                owned.add(key)
 
     for node in order:
         if node.backward_fn is not None:

@@ -1,9 +1,10 @@
 """Differentiable operations over Tensors.
 
-Every op validates input shapes, computes the forward value, records the
-node on the tape, and installs a closure that maps the output gradient to
-per-parent gradients. Forward results are checked for finiteness; a NaN or
-Inf raises NumericalError at the producing op instead of propagating.
+Every op validates input shapes, computes the forward value and, when a
+gradient can reach it, records the node on the tape with a closure that
+maps the output gradient to per-parent gradients. Forward results are
+checked for finiteness; a NaN or Inf raises NumericalError at the
+producing op instead of propagating.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ def _wrap(x) -> Tensor:
 
 
 def _node(op: str, data, parents, backward_fn) -> Tensor:
-    return Tensor(data, op=op, parents=tuple(parents), backward_fn=backward_fn)
+    # Off every gradient path (no parent is trainable or recorded) the
+    # result keeps neither its parents nor its closure, so a forward pass
+    # through frozen tensors holds no tape.
+    if any(p.requires_grad or p.backward_fn is not None for p in parents):
+        return Tensor(data, op=op, parents=tuple(parents),
+                      backward_fn=backward_fn)
+    return Tensor(data, op=op)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -221,32 +228,6 @@ def conv1d(x, w) -> Tensor:
     return _node("conv1d", out, (x, w), backward_fn)
 
 
-def conv2d(x, w) -> Tensor:
-    """Valid 2-D cross-correlation with stride 1 over a batched grid:
-    (B, H, W, Cin) with kernel (KH, KW, Cin, Cout) -> (B, H-KH+1, W-KW+1,
-    Cout)."""
-    x, w = _wrap(x), _wrap(w)
-    if (x.ndim != 4 or w.ndim != 4 or x.shape[3] != w.shape[2]
-            or w.shape[0] > x.shape[1] or w.shape[1] > x.shape[2]):
-        raise ShapeError("conv2d", x.shape, w.shape)
-    kh, kw = w.shape[0], w.shape[1]
-    h_out = x.shape[1] - kh + 1
-    w_out = x.shape[2] - kw + 1
-    windows = sliding_window_view(x.data, (kh, kw), axis=(1, 2))  # (B, Ho, Wo, Cin, KH, KW)
-    out = np.tensordot(windows, w.data, axes=([4, 5, 3], [0, 1, 2]))
-
-    def backward_fn(g):
-        gw = np.tensordot(windows, g, axes=([0, 1, 2], [0, 1, 2]))  # (Cin, KH, KW, Cout)
-        gw = gw.transpose(1, 2, 0, 3)
-        gx = np.zeros(x.shape)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, i:i + h_out, j:j + w_out, :] += g @ w.data[i, j].T
-        return [(x, gx), (w, gw)]
-
-    return _node("conv2d", out, (x, w), backward_fn)
-
-
 def reduce_sum(a) -> Tensor:
     a = _wrap(a)
 
@@ -264,18 +245,6 @@ def reduce_mean(a) -> Tensor:
         return [(a, np.broadcast_to(g / n, a.shape).copy())]
 
     return _node("reduce-mean", np.mean(a.data), (a,), backward_fn)
-
-
-def reverse_time(a) -> Tensor:
-    """Flip the time axis: the second-to-last axis for stacked tensors
-    (batch, time, features), the only axis for vectors. An involution."""
-    a = _wrap(a)
-    axis = a.ndim - 2 if a.ndim >= 2 else 0
-
-    def backward_fn(g):
-        return [(a, np.flip(g, axis=axis))]
-
-    return _node("reverse-time", np.flip(a.data, axis=axis), (a,), backward_fn)
 
 
 def pinball_branch(u, q) -> Tensor:
@@ -313,9 +282,7 @@ OP_TABLE = {
     "tanh": tanh,
     "relu": relu,
     "conv1d": conv1d,
-    "conv2d": conv2d,
     "reduce-mean": reduce_mean,
     "reduce-sum": reduce_sum,
-    "reverse-time": reverse_time,
     "pinball-residual-branch": pinball_branch,
 }

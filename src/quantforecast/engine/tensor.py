@@ -69,8 +69,9 @@ class Tensor:
     """N-dimensional float64 array recorded on an autodiff tape.
 
     Leaf tensors hold data (inputs, constants, trainable parameters); op
-    tensors additionally carry the producing op kind, their parent nodes,
-    and a closure computing parent gradients from the output gradient.
+    tensors carry the producing op kind and, when a gradient can reach
+    them, their parent nodes and a closure computing parent gradients from
+    the output gradient.
     Node ids increase monotonically with creation, so they are already a
     topological order of the (acyclic) recorded graph. Data produced by an
     op is treated as immutable.

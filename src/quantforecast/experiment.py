@@ -45,6 +45,7 @@ from .training import TrainConfig, train
 
 GENERATED_DATASETS = ("mackey-glass", "lorenz")
 FILE_DATASETS = ("bitcoin", "ethereum", "sunspot", "csv")
+STRATEGIES = ("univariate", "multivariate")
 
 # Table of hidden sizes per family: market datasets follow the reference
 # architecture table; generated/univariate benchmarks reuse the same sizes.
@@ -91,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.dataset not in GENERATED_DATASETS + FILE_DATASETS:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
-        if self.strategy not in ("univariate", "multivariate"):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "multivariate" and self.dataset not in (
                 "bitcoin", "ethereum", "csv"):
@@ -102,8 +103,7 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train fraction must be in (0, 1)")
-        if self.dataset in ("bitcoin", "ethereum", "sunspot", "csv") \
-                and not self.csv_path:
+        if self.dataset in FILE_DATASETS and not self.csv_path:
             raise ConfigError(f"dataset {self.dataset!r} needs --csv-path")
         self.quantiles = check_quantiles(self.quantiles) if self.quantile \
             else (0.5,)
@@ -123,6 +123,7 @@ class ExperimentConfig:
                               f"{self.hidden1} and {self.hidden2}")
         if self.epochs is None:
             self.epochs = 100 if is_market else 300
+        _train_config(self)  # bad training numbers fail before any run
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -193,6 +194,14 @@ def _model_spec(config: ExperimentConfig, features: int) -> ModelSpec:
                      quantiles=config.quantiles)
 
 
+def _train_config(config: ExperimentConfig) -> TrainConfig:
+    return TrainConfig(
+        epochs=config.epochs, batch_size=config.batch_size,
+        learning_rate=config.learning_rate,
+        loss="quantile" if config.quantile else "mse",
+        clip_norm=config.clip_norm)
+
+
 def run_single(config: ExperimentConfig, series: RawSeries,
                seed: int) -> tuple[RunReport, np.ndarray, np.ndarray]:
     """One seeded run: split, fit, evaluate. Returns the report plus the
@@ -215,13 +224,8 @@ def run_single(config: ExperimentConfig, series: RawSeries,
         rng = SeededRng(seed)
         spec = _model_spec(config, dataset.features)
         model = build_model(spec, rng.child(1))
-        train_config = TrainConfig(
-            epochs=config.epochs, batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            loss="quantile" if config.quantile else "mse",
-            clip_norm=config.clip_norm)
-        train(model, dataset, train_config, rng.child(2))
-        predictions = forward_pass(model, dataset.test_inputs).data
+        train(model, dataset, _train_config(config), rng.child(2))
+        predictions = forward_pass(model.frozen(), dataset.test_inputs).data
 
     targets = dataset.test_targets
     if config.clip_negative:
@@ -235,20 +239,19 @@ def run_single(config: ExperimentConfig, series: RawSeries,
     return report, targets, predictions
 
 
-def _run_to_files(config: ExperimentConfig, series: RawSeries, seed: int,
-                  out_dir: Path) -> RunReport:
-    report, targets, predictions = run_single(config, series, seed)
-    _write_json(out_dir / "runs" / f"run_{seed}.json", report.to_dict())
-    _write_trace(out_dir / "traces" / f"trace_{seed}.csv", config, targets,
-                 predictions)
-    return report
-
-
 def _pool_entry(args) -> tuple[int, dict | None, str | None]:
+    """One seeded run with its files written, in this process or a worker.
+    Returns (seed, report dict, None), or (seed, None, error text) for a
+    failed run."""
     config, series, seed = args
+    out_dir = Path(config.output_dir)
     try:
-        report = _run_to_files(config, series, seed, Path(config.output_dir))
-        return seed, report.to_dict(), None
+        report, targets, predictions = run_single(config, series, seed)
+        payload = report.to_dict()
+        _write_json(out_dir / "runs" / f"run_{seed}.json", payload)
+        _write_trace(out_dir / "traces" / f"trace_{seed}.csv", config,
+                     targets, predictions)
+        return seed, payload, None
     except Exception as exc:  # recorded, campaign continues
         return seed, None, f"{type(exc).__name__}: {exc}"
 
@@ -266,22 +269,17 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     failures: list[dict] = []
 
     series = build_series(config)
+    jobs = [(config, series, s) for s in seeds]
     if config.workers > 1:
-        jobs = [(config, series, s) for s in seeds]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_pool_entry, jobs))
-        for seed, rep, err in results:
-            if err is None:
-                reports.append(RunReport.from_dict(rep))
-            else:
-                failures.append({"seed": seed, "error": err})
     else:
-        for seed in seeds:
-            try:
-                reports.append(_run_to_files(config, series, seed, out_dir))
-            except Exception as exc:
-                failures.append({"seed": seed,
-                                 "error": f"{type(exc).__name__}: {exc}"})
+        results = map(_pool_entry, jobs)
+    for seed, rep, err in results:
+        if err is None:
+            reports.append(RunReport.from_dict(rep))
+        else:
+            failures.append({"seed": seed, "error": err})
 
     if failures:
         _write_json(out_dir / "failures.json", failures)

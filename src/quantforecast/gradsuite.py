@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (GradCheckReport, SeededRng, Tensor, concat, conv1d,
-                     conv2d, grad_check, hadamard, matmul, pinball_branch,
-                     reduce_mean, reduce_sum, relu, reshape, reverse_time,
-                     scalar_mul, sigmoid, slice_axis, sub, tanh, transpose,
-                     add)
+from .engine import (GradCheckReport, SeededRng, Tensor, add, concat, conv1d,
+                     grad_check, hadamard, matmul, pinball_branch, reduce_mean,
+                     reduce_sum, relu, reshape, scalar_mul, sigmoid,
+                     slice_axis, sub, tanh, transpose)
 from .losses import quantile_loss_batch
 from .models import FAMILIES, ModelSpec, build_model, forward_pass
 
@@ -72,18 +71,11 @@ def _op_cases(rng: SeededRng):
     s, sw = leaf((2, 6, 2)), leaf((2, 2, 3))
     cases["conv1d"] = ({"s": s, "sw": sw},
                        lambda: reduce_mean(tanh(conv1d(s, sw))))
-    t, tw = leaf((2, 5, 3, 2)), leaf((2, 2, 2, 3))
-    cases["conv2d"] = ({"t": t, "tw": tw},
-                       lambda: reduce_mean(tanh(conv2d(t, tw))))
     u = leaf((3, 4))
     cases["reduce-mean"] = ({"u": u}, lambda: reduce_mean(hadamard(u, u)))
     v = leaf((3, 4))
     cases["reduce-sum"] = (
         {"v": v}, lambda: scalar_mul(reduce_sum(hadamard(v, v)), 1e-2))
-    w = leaf((2, 4, 3))
-    cases["reverse-time"] = (
-        {"w": w}, lambda: reduce_mean(tanh(matmul(
-            reshape(reverse_time(w), (8, 3)), transpose(reshape(w, (8, 3)))))))
     x = leaf((3, 4), away=0.2)
     cases["pinball-residual-branch"] = (
         {"x": x}, lambda: reduce_mean(pinball_branch(x, 0.75)))

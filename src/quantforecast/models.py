@@ -4,15 +4,16 @@ Families and wiring (window d, features f, horizons m, levels K = |Q|):
 
   lstm      stacked LSTM(h1) -> LSTM(h2) over the window; final state ->
             dense head (h2, m*K).
-  bdlstm    forward LSTM(h1) and backward LSTM(h1) over the window; the
-            per-step states are concatenated (width 2*h1, backward states
-            re-aligned to input time) -> LSTM(h2) -> dense head.
+  bdlstm    forward LSTM(h1) over the window steps and backward LSTM(h1)
+            over the reversed steps; the per-step states are concatenated
+            (width 2*h1, backward states reversed back to input time) ->
+            LSTM(h2) -> dense head.
   edlstm    encoder LSTM(h1) summarises the window; its final state is
             repeated m times and decoded by LSTM(h2); a shared per-step
             head (h2, K) emits each horizon (time-distributed head).
-  convlstm  valid conv, kernel 2 over time (1-D for f=1, 2-D spanning all
-            f features otherwise), 64 filters + bias + relu -> sequence of
-            length d-1 -> LSTM(h1) -> dense head.
+  convlstm  one valid conv over time, kernel 2, spanning all f features,
+            64 filters + bias + relu -> sequence of length d-1 ->
+            LSTM(h1) -> dense head.
   linear    single affine map from the flattened window (d*f, m*K).
 
 Parameter shape table (per LSTM stage with input width n, hidden width h;
@@ -21,13 +22,15 @@ gate blocks ordered [input, forget, cell, output] along the fused axis):
   <stage>.w_x  (n, 4h)   glorot uniform
   <stage>.w_h  (h, 4h)   glorot uniform
   <stage>.b    (4h,)     zeros
-  conv.w       (2, 1, 64) univariate / (2, f, 1, 64) multivariate, glorot
+  conv.w       (2, 1, 64) univariate / (2, f, 1, 64) multivariate, glorot;
+               the multivariate kernel is used as (2, f, 64)
   conv.b       (64,)     zeros
   head.w       (width, m*K) or (h2, K) for edlstm, glorot
   head.b       matching head.w columns, zeros
 
 The head is linear (no output activation). forward_pass is the one entry
-point; it emits predictions as (batch, m, K).
+point; it emits predictions as (batch, m, K). Every LSTM stage runs through
+_lstm over a list of per-step (batch, n) inputs.
 """
 
 from __future__ import annotations
@@ -37,10 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (SeededRng, Tensor, add, concat, conv1d, conv2d, matmul,
-                     relu, reshape, reverse_time, sigmoid, slice_axis, tanh,
-                     tensor_new)
-from .engine import hadamard
+from .engine import (SeededRng, Tensor, add, concat, conv1d, hadamard, matmul,
+                     relu, reshape, sigmoid, slice_axis, tanh, tensor_new)
 from .errors import (ConfigError, NumericalError, ShapeError,
                      check_known_fields)
 from .losses import check_quantiles
@@ -110,6 +111,12 @@ class Model:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
+
+    def frozen(self) -> "Model":
+        """A view sharing these weights through which no op records a
+        tape, for predictions that no backward() consumes."""
+        return Model(self.spec, {name: Tensor(p.data)
+                                 for name, p in self.params.items()})
 
 
 def _lstm_params(rng: SeededRng, prefix: str, n_in: int, hidden: int,
@@ -196,52 +203,43 @@ def lstm_cell_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h_t, c_t
 
 
-def _stage_params(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
-    return {"w_x": params[f"{prefix}.w_x"], "w_h": params[f"{prefix}.w_h"],
-            "b": params[f"{prefix}.b"]}
-
-
-def _split_steps(x: Tensor) -> list[Tensor]:
+def _steps(x: Tensor) -> list[Tensor]:
     """(batch, time, features) -> list of (batch, features) step tensors."""
     batch, steps, feats = x.shape
     return [reshape(slice_axis(x, 1, t, t + 1), (batch, feats))
             for t in range(steps)]
 
 
-def _run_lstm(steps: list[Tensor], params: dict[str, Tensor], hidden: int,
-              batch: int) -> list[Tensor]:
-    h = tensor_new([batch, hidden], "zeros")
-    c = tensor_new([batch, hidden], "zeros")
+def _lstm(steps: list[Tensor], params: dict[str, Tensor],
+          prefix: str) -> list[Tensor]:
+    """Run the LSTM stage named prefix over a list of (batch, n) step
+    inputs from zero states; returns the (batch, h) state of every step."""
+    stage = {"w_x": params[f"{prefix}.w_x"], "w_h": params[f"{prefix}.w_h"],
+             "b": params[f"{prefix}.b"]}
+    shape = [steps[0].shape[0], stage["w_h"].shape[0]]
+    h, c = tensor_new(shape, "zeros"), tensor_new(shape, "zeros")
     outputs = []
     for x_t in steps:
-        h, c = lstm_cell_step(x_t, h, c, params)
+        h, c = lstm_cell_step(x_t, h, c, stage)
         outputs.append(h)
     return outputs
-
-
-def _stack_steps(states: list[Tensor]) -> Tensor:
-    """List of (batch, width) -> (batch, time, width)."""
-    batch, width = states[0].shape
-    return concat([reshape(s, (batch, 1, width)) for s in states], axis=1)
 
 
 def _dense(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return add(matmul(x, params["head.w"]), params["head.b"])
 
 
-def bidirectional_sequence(model: Model, x: Tensor) -> Tensor:
-    """The concatenated forward/backward state sequence of a bdlstm,
-    (batch, window, 2*h1), before the second recurrent stage."""
+def bidirectional_sequence(model: Model, x: Tensor) -> list[Tensor]:
+    """The per-step concatenated forward/backward states of a bdlstm,
+    window steps of (batch, 2*h1), before the second recurrent stage. The
+    backward stage runs over the reversed steps; its states are reversed
+    back so step t pairs both directions' states at input time t."""
     if model.spec.family != "bdlstm":
         raise ConfigError("bidirectional sequence only defined for bdlstm")
-    batch, d = x.shape[0], model.spec.window
-    fwd = _run_lstm(_split_steps(x), _stage_params(model.params, "fwd"),
-                    model.spec.hidden1, batch)
-    bwd = _run_lstm(_split_steps(reverse_time(x)),
-                    _stage_params(model.params, "bwd"),
-                    model.spec.hidden1, batch)
-    merged = [concat([fwd[t], bwd[d - 1 - t]], axis=1) for t in range(d)]
-    return _stack_steps(merged)
+    steps = _steps(x)
+    fwd = _lstm(steps, model.params, "fwd")
+    bwd = _lstm(steps[::-1], model.params, "bwd")[::-1]
+    return [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
 
 
 def forward_pass(model: Model, window_batch) -> Tensor:
@@ -261,46 +259,35 @@ def forward_pass(model: Model, window_batch) -> Tensor:
     try:
         if spec.family == "lstm":
             stage = "lstm1"
-            seq = _run_lstm(_split_steps(x), _stage_params(params, "lstm1"),
-                            spec.hidden1, batch)
+            seq = _lstm(_steps(x), params, "lstm1")
             stage = "lstm2"
-            seq2 = _run_lstm(seq, _stage_params(params, "lstm2"),
-                             spec.hidden2, batch)
+            seq2 = _lstm(seq, params, "lstm2")
             stage = "head"
             out = _dense(seq2[-1], params)
         elif spec.family == "bdlstm":
             stage = "bidirectional"
             merged = bidirectional_sequence(model, x)
             stage = "lstm2"
-            seq2 = _run_lstm(_split_steps(merged),
-                             _stage_params(params, "lstm2"),
-                             spec.hidden2, batch)
+            seq2 = _lstm(merged, params, "lstm2")
             stage = "head"
             out = _dense(seq2[-1], params)
         elif spec.family == "edlstm":
             stage = "encoder"
-            enc = _run_lstm(_split_steps(x), _stage_params(params, "enc"),
-                            spec.hidden1, batch)
-            context = enc[-1]
+            context = _lstm(_steps(x), params, "enc")[-1]
             stage = "decoder"
-            dec = _run_lstm([context] * m, _stage_params(params, "dec"),
-                            spec.hidden2, batch)
+            dec = _lstm([context] * m, params, "dec")
             stage = "head"
             steps = [reshape(_dense(h, params), (batch, 1, k)) for h in dec]
             return concat(steps, axis=1)
         elif spec.family == "convlstm":
             stage = "conv"
-            if spec.features == 1:
-                conv = conv1d(x, params["conv.w"])
-            else:
-                grid = reshape(x, (batch, spec.window, spec.features, 1))
-                conv = conv2d(grid, params["conv.w"])
-                conv = reshape(conv, (batch, spec.window - spec.conv_kernel + 1,
-                                      spec.conv_filters))
-            conv = relu(add(conv, params["conv.b"]))
+            w = params["conv.w"]
+            if spec.features > 1:  # (k, f, 1, filters) -> (k, f, filters)
+                w = reshape(w, (spec.conv_kernel, spec.features,
+                                spec.conv_filters))
+            conv = relu(add(conv1d(x, w), params["conv.b"]))
             stage = "lstm1"
-            seq = _run_lstm(_split_steps(conv), _stage_params(params, "lstm1"),
-                            spec.hidden1, batch)
+            seq = _lstm(_steps(conv), params, "lstm1")
             stage = "head"
             out = _dense(seq[-1], params)
         elif spec.family == "linear":

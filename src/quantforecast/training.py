@@ -65,7 +65,7 @@ def adam_step(params: dict[str, Tensor], grads: Gradients,
     for name in params:
         p = params[name]
         g = grads[p]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
         m = state.m.get(name)
         if m is None:
@@ -76,10 +76,18 @@ def adam_step(params: dict[str, Tensor], grads: Gradients,
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / scale1
-        v_hat = v / scale2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        g2 = g * g
+        g2 *= 1.0 - state.beta2
+        v += g2
+        # lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order with
+        # two scratch arrays instead of six.
+        step = m / scale1
+        step *= state.learning_rate
+        denom = v / scale2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p.data -= step
 
 
 @dataclass
@@ -102,6 +110,9 @@ class TrainConfig:
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ConfigError(
+                f"clip norm must be positive, got {self.clip_norm}")
 
 
 @dataclass
@@ -188,7 +199,7 @@ def loss_eval(model: Model, dataset, loss_kind: str,
         inputs, targets = dataset.train_inputs, dataset.train_targets
     else:
         raise ConfigError(f"unknown split {split!r}")
-    pred = forward_pass(model, inputs)
+    pred = forward_pass(model.frozen(), inputs)
     if loss_kind == "quantile":
         return quantile_loss_batch(targets, pred.data, model.spec.quantiles)
     return mse_loss_batch(targets, pred.data)

@@ -58,6 +58,29 @@ class TestBackwardBasics:
         grads = backward(loss, [p])
         assert grads[p].tolist() == [8.0]
 
+    def test_fanout_sum_leaves_shared_gradients_alone(self):
+        # add hands the same gradient array to both parents; p then takes
+        # two more contributions, which must not write into q's gradient.
+        p = Tensor([[1.0, 2.0]], requires_grad=True)
+        q = Tensor([[3.0, 4.0]], requires_grad=True)
+        f = add(add(scalar_mul(p, 3.0), add(p, q)), p)
+        grads = backward(reduce_sum(f), [p, q])
+        assert grads[p].tolist() == [[5.0, 5.0]]
+        assert grads[q].tolist() == [[1.0, 1.0]]
+
+    def test_ops_off_gradient_path_record_no_tape(self):
+        x = Tensor([[1.0, 2.0]])
+        p = Tensor([[3.0], [-4.0]], requires_grad=True)
+        frozen = tanh(matmul(x, Tensor(p.data)))
+        assert frozen.parents == () and frozen.backward_fn is None
+        live = tanh(matmul(x, p))
+        assert live.parents[0].parents == (x, p)
+        assert frozen.data.tobytes() == live.data.tobytes()
+        # a recorded op still takes gradients through an unrecorded parent
+        loss = reduce_sum(hadamard(p, tanh(Tensor([[0.5], [-1.0]]))))
+        assert backward(loss, [p])[p].tolist() == [[np.tanh(0.5)],
+                                                   [np.tanh(-1.0)]]
+
     def test_graph_consumed_after_backward(self):
         p = Tensor([1.0], requires_grad=True)
         loss = reduce_sum(hadamard(p, p))

@@ -1,9 +1,23 @@
 """Command-line surface: subcommands, config-file merging, exit codes."""
 
+import argparse
 import json
 
-from quantforecast.cli import main
+import pytest
+
+from quantforecast.cli import build_parser, main
 from quantforecast.datapipe import load_csv
+from quantforecast.experiment import (FILE_DATASETS, GENERATED_DATASETS,
+                                      STRATEGIES)
+from quantforecast.models import FAMILIES
+
+
+def experiment_choices(flag):
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in commands.choices["experiment"]._actions
+                if flag in a.option_strings)
 
 
 class TestGenerate:
@@ -77,6 +91,25 @@ class TestExperimentCommand:
                      "--family", "linear", "--strategy", "multivariate",
                      "--runs", "1", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("bad", [
+        ["--epochs", "0"], ["--epochs", "1", "--batch-size", "0"],
+        ["--clip-norm", "-1"], ["--clip-norm", "0"]])
+    def test_bad_training_numbers_exit_1_before_any_run(self, tmp_path,
+                                                         capsys, bad):
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--dataset", "mackey-glass",
+                     "--family", "lstm", "--runs", "2",
+                     "--data-steps", "100", "--out", str(out)] + bad)
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_choices_come_from_the_library(self):
+        assert experiment_choices("--dataset") == (GENERATED_DATASETS
+                                                   + FILE_DATASETS)
+        assert experiment_choices("--strategy") == STRATEGIES
+        assert experiment_choices("--family") == FAMILIES
 
     def test_missing_csv_file_exit_2(self, tmp_path, capsys):
         code = main(["experiment", "--dataset", "bitcoin",

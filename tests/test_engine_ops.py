@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, concat,
-                                  conv1d, conv2d, hadamard, matmul,
-                                  pinball_branch, reduce_mean, reduce_sum,
-                                  relu, reshape, reverse_time, scalar_mul,
-                                  sigmoid, slice_axis, sub, tanh, tensor_new,
-                                  transpose)
+                                  conv1d, hadamard, matmul, pinball_branch,
+                                  reduce_mean, reduce_sum, relu, reshape,
+                                  scalar_mul, sigmoid, slice_axis, sub, tanh,
+                                  tensor_new, transpose)
 from quantforecast.errors import InvalidShape, NumericalError, ShapeError
 
 
@@ -91,14 +90,6 @@ class TestOpValues:
                                for c in range(3))
                 assert np.allclose(out[b, :, o], expected)
 
-    def test_conv2d_hand_case(self):
-        x = Tensor(np.reshape([[1, 2, 3], [4, 5, 6], [7, 8, 9]], (1, 3, 3, 1)))
-        k = Tensor(np.reshape([[1, 0], [0, 1]], (2, 2, 1, 1)))
-        # each output = x[i,j] + x[i+1,j+1]
-        out = conv2d(x, k)
-        assert out.shape == (1, 2, 2, 1)
-        assert out.data[0, :, :, 0].tolist() == [[6, 8], [12, 14]]
-
     def test_tanh_relu(self):
         assert tanh(Tensor([0.0])).data[0] == 0.0
         assert relu(Tensor([-2.0, 0.0, 3.0])).data.tolist() == [0, 0, 3]
@@ -151,17 +142,6 @@ class TestOpErrors:
 
 
 class TestStructuralProperties:
-    def test_reverse_time_is_involution(self, rng):
-        for shape in [(5,), (4, 3), (2, 6, 3)]:
-            x = Tensor(rng.normal(size=shape))
-            twice = reverse_time(reverse_time(x))
-            assert np.array_equal(twice.data, x.data)
-
-    def test_reverse_time_flips_time_axis(self):
-        x = Tensor(np.arange(6.0).reshape(1, 3, 2))
-        out = reverse_time(x)
-        assert np.array_equal(out.data[0, 0], x.data[0, 2])
-
     def test_concat_slice_roundtrip(self, rng):
         for axis in (0, 1):
             a = Tensor(rng.normal(size=(3, 4)))
@@ -201,5 +181,4 @@ class TestStructuralProperties:
         assert set(OP_TABLE) == {
             "matmul", "add", "sub", "hadamard", "scalar-mul", "concat",
             "slice", "reshape", "transpose", "sigmoid", "tanh", "relu",
-            "conv1d", "conv2d", "reduce-mean", "reduce-sum", "reverse-time",
-            "pinball-residual-branch"}
+            "conv1d", "reduce-mean", "reduce-sum", "pinball-residual-branch"}

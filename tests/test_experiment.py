@@ -72,6 +72,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="hidden"):
             tiny_config(tmp_path, family="lstm", **sizes)
 
+    @pytest.mark.parametrize("bad", [
+        dict(epochs=0), dict(batch_size=0), dict(learning_rate=0.0),
+        dict(clip_norm=0.0), dict(clip_norm=-1.0)])
+    def test_bad_training_numbers_rejected_at_construction(self, tmp_path,
+                                                            bad):
+        with pytest.raises(ConfigError):
+            tiny_config(tmp_path, family="lstm", **bad)
+
     def test_unset_hidden_sizes_take_family_defaults(self, tmp_path):
         config = tiny_config(tmp_path, family="lstm", hidden2=7)
         assert (config.hidden1, config.hidden2) == (50, 7)
@@ -169,6 +177,24 @@ class TestRunExperiment:
         assert report.coverage_05_95 is not None
         assert report.crossing is not None
         assert len(report.per_quantile_rmse) == 5
+
+
+    def test_test_set_prediction_keeps_no_tape(self, tmp_path, monkeypatch):
+        import quantforecast.experiment as exp
+
+        original = exp.forward_pass
+        outputs = []
+        def recorded(model, windows):
+            outputs.append(original(model, windows))
+            return outputs[-1]
+
+        monkeypatch.setattr(exp, "forward_pass", recorded)
+        config = tiny_config(tmp_path, family="lstm", hidden1=3, hidden2=3,
+                             epochs=1, runs=2)
+        run_experiment(config)
+        assert len(outputs) == 2
+        assert all(out.parents == () and out.backward_fn is None
+                   for out in outputs)
 
 
 class TestEmitReport:

@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from quantforecast.engine import SeededRng, Tensor, conv1d, tensor_new
+from quantforecast.engine import (SeededRng, Tensor, add, concat, conv1d,
+                                  matmul, tensor_new)
 from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
-from quantforecast.models import (Model, ModelSpec, bidirectional_sequence,
-                                  build_model, forward_pass, load_model,
-                                  lstm_cell_step, model_from_dict,
-                                  model_to_dict, save_model)
+from quantforecast.models import (FAMILIES, ModelSpec,
+                                  bidirectional_sequence, build_model,
+                                  forward_pass, load_model, lstm_cell_step,
+                                  model_from_dict, model_to_dict, save_model)
 
 
 def reference_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
@@ -34,6 +35,24 @@ def toy_spec(family, f=1, quantiles=(0.5,), **kw):
                     quantiles=quantiles)
     defaults.update(kw)
     return ModelSpec(family=family, **defaults)
+
+
+def stacked(states):
+    """Per-step (batch, width) tensors -> (batch, time, width) array."""
+    return np.stack([s.data for s in states], axis=1)
+
+
+def oracle_lstm(steps, params, prefix):
+    """The states of one LSTM stage, by an explicit loop of cell steps."""
+    stage = {part: params[f"{prefix}.{part}"] for part in ("w_x", "w_h", "b")}
+    hidden = stage["w_h"].shape[0]
+    h = Tensor(np.zeros((steps[0].shape[0], hidden)))
+    c = Tensor(np.zeros((steps[0].shape[0], hidden)))
+    states = []
+    for x_t in steps:
+        h, c = lstm_cell_step(x_t, h, c, stage)
+        states.append(h)
+    return states
 
 
 class TestLstmCell:
@@ -125,7 +144,7 @@ class TestBuildShapes:
                          hidden1=50, hidden2=50)
         model = build_model(spec, SeededRng(0))
         merged = bidirectional_sequence(model, Tensor(np.zeros((2, 6, 1))))
-        assert merged.shape == (2, 6, 100)
+        assert stacked(merged).shape == (2, 6, 100)
         assert model.params["lstm2.w_x"].shape == (100, 200)
 
     def test_convlstm_valid_conv_length(self):
@@ -253,21 +272,69 @@ class TestBidirectionalSymmetry:
         spec = toy_spec("bdlstm", f=2)
         model = build_model(spec, SeededRng(7))
         window = rng.normal(size=(3, 4, 2))
-        merged = bidirectional_sequence(model, Tensor(window)).data
+        merged = stacked(bidirectional_sequence(model, Tensor(window)))
 
         swapped = build_model(spec, SeededRng(7))
         for stage_from, stage_to in (("fwd", "bwd"), ("bwd", "fwd")):
             for part in ("w_x", "w_h", "b"):
                 swapped.params[f"{stage_to}.{part}"].data[...] = \
                     model.params[f"{stage_from}.{part}"].data
-        mirrored = bidirectional_sequence(
-            swapped, Tensor(window[:, ::-1, :].copy())).data
+        mirrored = stacked(bidirectional_sequence(
+            swapped, Tensor(window[:, ::-1, :].copy())))
 
         h1 = spec.hidden1
         # time-mirrored, with the forward/backward halves exchanged
         expected = np.concatenate(
             [mirrored[:, ::-1, h1:], mirrored[:, ::-1, :h1]], axis=2)
         assert np.allclose(merged, expected, atol=1e-12)
+
+
+class TestForwardOracles:
+    def test_bdlstm_equals_explicit_cell_loops_bytewise(self, rng):
+        spec = toy_spec("bdlstm", f=2, quantiles=(0.25, 0.5, 0.75))
+        model = build_model(spec, SeededRng(11))
+        window = rng.normal(size=(5, 4, 2))
+        steps = [Tensor(window[:, t, :]) for t in range(4)]
+        fwd = oracle_lstm(steps, model.params, "fwd")
+        bwd = oracle_lstm(steps[::-1], model.params, "bwd")[::-1]
+        merged = [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+        last = oracle_lstm(merged, model.params, "lstm2")[-1]
+        head = add(matmul(last, model.params["head.w"]),
+                   model.params["head.b"]).data.reshape(5, 2, 3)
+        pred = forward_pass(model, window).data
+        assert pred.tobytes() == head.tobytes()
+
+    def test_multivariate_convlstm_matches_numpy_oracle(self, rng):
+        spec = toy_spec("convlstm", f=3, conv_filters=4)
+        model = build_model(spec, SeededRng(12))
+        assert model.params["conv.w"].shape == (2, 3, 1, 4)
+        model.params["conv.b"].data[...] = rng.normal(size=4)
+        window = rng.normal(size=(2, 4, 3))
+        w = model.params["conv.w"].data
+        conv = np.empty((2, 3, 4))
+        for b in range(2):
+            for o in range(4):
+                conv[b, :, o] = sum(
+                    np.correlate(window[b, :, c], w[:, c, 0, o], "valid")
+                    for c in range(3))
+        conv = np.maximum(conv + model.params["conv.b"].data, 0.0)
+        steps = [Tensor(conv[:, t, :]) for t in range(3)]
+        last = oracle_lstm(steps, model.params, "lstm1")[-1].data
+        expected = (last @ model.params["head.w"].data
+                    + model.params["head.b"].data).reshape(2, 2, 1)
+        pred = forward_pass(model, window).data
+        assert np.allclose(pred, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_frozen_prediction_keeps_no_tape(self, rng, family):
+        model = build_model(toy_spec(family, f=2, conv_filters=4),
+                            SeededRng(13))
+        window = rng.normal(size=(3, 4, 2))
+        recorded = forward_pass(model, window)
+        frozen = forward_pass(model.frozen(), window)
+        assert recorded.parents and recorded.backward_fn is not None
+        assert frozen.parents == () and frozen.backward_fn is None
+        assert frozen.data.tobytes() == recorded.data.tobytes()
 
 
 class TestCheckpointRoundTrip:

@@ -104,6 +104,12 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, batch_size=0)
 
+    @pytest.mark.parametrize("clip_norm", [0.0, -1.0])
+    def test_non_positive_clip_norm_rejected(self, clip_norm):
+        # max_norm / total would freeze (0) or reverse (< 0) every update
+        with pytest.raises(ConfigError, match="clip norm"):
+            TrainConfig(epochs=1, clip_norm=clip_norm)
+
     def test_mse_on_multilevel_model_rejected(self):
         dataset = linear_dataset()
         spec = ModelSpec(family="linear", features=1, window=3, horizons=2,
