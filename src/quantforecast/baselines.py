@@ -8,10 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Tensor, add, backward, matmul, pinball_branch,
-                     reduce_mean, reshape, sub)
+from .engine import Tensor, add, backward, matmul, reshape
 from .errors import ConfigError, SingularSystem, TrainingDiverged
-from .losses import check_quantiles
+from .losses import check_quantiles, quantile_loss_batch
 
 # Convergence rule for the gradient-descent quantile fit: stop once the
 # best objective has improved by less than this over the last 100 iterations.
@@ -96,12 +95,10 @@ def fit_quantile_linear(dataset, quantiles=None, iterations: int = 5000,
     w = Tensor(np.zeros((p, m * k)), requires_grad=True, name="w")
     b = Tensor(np.repeat(y.mean(axis=0), k), requires_grad=True, name="b")
     x_t = Tensor(x)
-    tiled = Tensor(np.repeat(y[:, :, None], k, axis=2))
-    q_arr = np.asarray(qs).reshape(1, 1, k)
 
     def objective() -> Tensor:
         pred = reshape(add(matmul(x_t, w), b), (n, m, k))
-        return reduce_mean(pinball_branch(sub(tiled, pred), q_arr))
+        return quantile_loss_batch(y, pred, qs).node
 
     best = np.inf
     best_w = w.data.copy()

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -64,32 +65,26 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", dest="output_dir")
 
 
-_FLAG_FIELDS = (
-    "name", "dataset", "csv_path", "family", "strategy", "quantile",
-    "quantiles", "window", "horizons", "hidden1", "hidden2", "epochs",
-    "batch_size", "learning_rate", "base_seed", "train_fraction",
-    "clip_norm", "data_seed", "data_steps", "data_stride", "data_limit",
-    "data_offset",
-    "lorenz_component", "denormalized_metrics", "clip_negative", "workers",
-    "output_dir",
-)
-
-
 def _experiment_config(args, runs: int | None = None) -> ExperimentConfig:
     fields: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            fields.update(json.load(fh))
-    for key in _FLAG_FIELDS:
-        value = getattr(args, key, None)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config}: not valid JSON: "
+                                  f"{exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of "
+                              f"experiment fields, got "
+                              f"{type(loaded).__name__}")
+        fields.update(loaded)
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            fields[key] = value
+            fields[f.name] = value
     if runs is not None:
         fields["runs"] = runs
-    elif getattr(args, "runs", None) is not None:
-        fields["runs"] = args.runs
-    if "quantiles" in fields:
-        fields["quantiles"] = tuple(fields["quantiles"])
     fields.setdefault("name", fields.get("dataset", "experiment"))
     if "dataset" not in fields or "family" not in fields:
         raise ConfigError("--dataset and --family are required "

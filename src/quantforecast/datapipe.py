@@ -206,6 +206,9 @@ def load_csv(path, schema: str = "market", name: str | None = None) -> RawSeries
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) < len(header):
+                raise ParseError(f"{len(row)} cells under a "
+                                 f"{len(header)}-column header", line_no)
             key = _parse_date_key(row[lookup["date"]], line_no)
             values = [_parse_float(row[lookup[c]], c, line_no)
                       for c in wanted[1:]]

@@ -1,6 +1,6 @@
 """Reverse-mode differentiation engine over dense float64 tensors."""
 
-from .autodiff import BlockReport, GradCheckReport, Gradients, backward, grad_check
+from .autodiff import BlockReport, GradCheckReport, backward, grad_check
 from .ops import (OP_TABLE, add, concat, conv1d, hadamard, matmul,
                   pinball_branch, reduce_mean, reduce_sum, relu, reshape,
                   scalar_mul, sigmoid, slice_axis, sub, tanh, transpose)
@@ -12,5 +12,5 @@ __all__ = [
     "reshape", "transpose", "sigmoid", "tanh", "relu", "conv1d",
     "reduce_mean", "reduce_sum", "pinball_branch",
     "OP_TABLE",
-    "backward", "Gradients", "grad_check", "GradCheckReport", "BlockReport",
+    "backward", "grad_check", "GradCheckReport", "BlockReport",
 ]

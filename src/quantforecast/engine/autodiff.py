@@ -10,29 +10,6 @@ from ..errors import NotScalar
 from .tensor import Tensor
 
 
-class Gradients:
-    """Table of gradients keyed by parameter node, one entry per parameter.
-
-    Parameters passed to backward() but unreachable from the loss get a
-    zero gradient of the matching shape.
-    """
-
-    def __init__(self, table: dict[int, np.ndarray]):
-        self._table = table
-
-    def __getitem__(self, param: Tensor) -> np.ndarray:
-        try:
-            return self._table[param.node_id]
-        except KeyError:
-            raise KeyError(f"no gradient recorded for {param!r}") from None
-
-    def __contains__(self, param: Tensor) -> bool:
-        return param.node_id in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -52,8 +29,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params=None) -> Gradients:
-    """Gradients of a scalar loss w.r.t. every trainable leaf it reaches.
+def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
+    """Gradients of a scalar loss w.r.t. every trainable leaf it reaches,
+    keyed by the leaf tensor. Parameters passed in but unreachable from the
+    loss get a zero gradient of the matching shape.
 
     The recorded graph is consumed: op nodes drop their parents and
     closures afterwards, so a second reverse pass through the same nodes
@@ -69,14 +48,14 @@ def backward(loss: Tensor, params=None) -> Gradients:
     # Sums this pass allocated itself; only these are added to in place,
     # since a gradient an op hands back may be a view shared with others.
     owned: set[int] = set()
-    table: dict[int, np.ndarray] = {}
+    table: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
         g = grads.pop(node.node_id, None)
         if g is None:
             continue
         if node.backward_fn is None:
             if node.requires_grad:
-                table[node.node_id] = g
+                table[node] = g
             continue
         for parent, pg in node.backward_fn(g):
             key = parent.node_id
@@ -97,8 +76,8 @@ def backward(loss: Tensor, params=None) -> Gradients:
 
     if params is not None:
         for p in params:
-            table.setdefault(p.node_id, np.zeros(p.shape))
-    return Gradients(table)
+            table.setdefault(p, np.zeros(p.shape))
+    return table
 
 
 @dataclass

@@ -101,6 +101,29 @@ class ExperimentConfig:
                 f"got {self.dataset!r}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if not 0 <= self.base_seed <= 2**64 - self.runs:
+            raise ConfigError(f"run seeds from base seed {self.base_seed} "
+                              f"must lie in [0, 2**64)")
+        if not 0 <= self.data_seed < 2**64:
+            raise ConfigError(f"data seed must lie in [0, 2**64), "
+                              f"got {self.data_seed}")
+        if self.data_stride < 1:
+            raise ConfigError(f"data stride must be >= 1, "
+                              f"got {self.data_stride}")
+        if self.data_limit is not None and self.data_limit < 1:
+            raise ConfigError(f"data limit must be >= 1, "
+                              f"got {self.data_limit}")
+        if self.data_offset < 0:
+            raise ConfigError(f"data offset must be >= 0, "
+                              f"got {self.data_offset}")
+        if self.linear_iterations < 1:
+            raise ConfigError(f"linear iterations must be >= 1, "
+                              f"got {self.linear_iterations}")
+        if self.linear_learning_rate <= 0:
+            raise ConfigError(f"linear learning rate must be positive, "
+                              f"got {self.linear_learning_rate}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train fraction must be in (0, 1)")
         if self.dataset in FILE_DATASETS and not self.csv_path:
@@ -118,12 +141,12 @@ class ExperimentConfig:
             self.hidden1 = h1
         if self.hidden2 is None:
             self.hidden2 = h2
-        if self.hidden1 < 1 or self.hidden2 < 1:
-            raise ConfigError(f"hidden sizes must be >= 1, got "
-                              f"{self.hidden1} and {self.hidden2}")
         if self.epochs is None:
             self.epochs = 100 if is_market else 300
-        _train_config(self)  # bad training numbers fail before any run
+        # Bad generator, geometry and training numbers fail before any run.
+        _generator_params(self)
+        _model_spec(self, 1)
+        _train_config(self)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -151,12 +174,10 @@ class ExperimentConfig:
 def build_series(config: ExperimentConfig) -> RawSeries:
     """Materialise the configured dataset (generated series are pinned by
     data_seed and shared by every run in the campaign)."""
+    params = _generator_params(config)
     if config.dataset == "mackey-glass":
-        params = MackeyGlassParams(steps=config.data_steps or 3000)
         series = gen_mackey_glass(params, config.data_seed)
     elif config.dataset == "lorenz":
-        params = LorenzParams(steps=config.data_steps or 10000,
-                              component=config.lorenz_component)
         series, _ = gen_lorenz(params, config.data_seed)
     else:
         if config.dataset in ("bitcoin", "ethereum"):
@@ -177,6 +198,16 @@ def build_series(config: ExperimentConfig) -> RawSeries:
                            values=series.values[:, col].copy(),
                            index=list(series.index))
     return series
+
+
+def _generator_params(config: ExperimentConfig):
+    """Parameters of a generated dataset's generator; None for a file."""
+    steps = {} if config.data_steps is None else {"steps": config.data_steps}
+    if config.dataset == "mackey-glass":
+        return MackeyGlassParams(**steps)
+    if config.dataset == "lorenz":
+        return LorenzParams(component=config.lorenz_component, **steps)
+    return None
 
 
 def _sniff_schema(path) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Gradients, SeededRng, Tensor, backward
+from .engine import SeededRng, Tensor, backward
 from .errors import ConfigError, NumericalError, TrainingDiverged
 from .losses import LossValue, mse_loss_batch, quantile_loss_batch
 from .models import (Model, array_from_hex, array_to_hex, forward_pass,
@@ -55,7 +55,7 @@ class AdamState:
         return state
 
 
-def adam_step(params: dict[str, Tensor], grads: Gradients,
+def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
               state: AdamState) -> None:
     """One bias-corrected Adam update, in place on the parameter tensors."""
     state.step += 1
@@ -130,15 +130,15 @@ def _batch_loss(model: Model, inputs: np.ndarray, targets: np.ndarray,
     return mse_loss_batch(targets, pred)
 
 
-def _clip_gradients(params: dict[str, Tensor], grads: Gradients,
-                    max_norm: float) -> Gradients:
+def _clip_gradients(params: dict[str, Tensor],
+                    grads: dict[Tensor, np.ndarray],
+                    max_norm: float) -> dict[Tensor, np.ndarray]:
     total = np.sqrt(sum(float(np.sum(grads[p] ** 2))
                         for p in params.values()))
     if total <= max_norm or total == 0.0:
         return grads
     factor = max_norm / total
-    table = {p.node_id: grads[p] * factor for p in params.values()}
-    return Gradients(table)
+    return {p: grads[p] * factor for p in params.values()}
 
 
 def train(model: Model, dataset, config: TrainConfig, rng: SeededRng,
@@ -186,23 +186,6 @@ def train(model: Model, dataset, config: TrainConfig, rng: SeededRng,
                 f"{config.checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.json",
                 model, adam, epoch + 1, rng)
     return TrainResult(model=model, epoch_losses=losses, adam=adam)
-
-
-def loss_eval(model: Model, dataset, loss_kind: str,
-              split: str = "test") -> LossValue:
-    """Loss of a frozen model over one split; touches no parameters."""
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss_kind!r}")
-    if split == "test":
-        inputs, targets = dataset.test_inputs, dataset.test_targets
-    elif split == "train":
-        inputs, targets = dataset.train_inputs, dataset.train_targets
-    else:
-        raise ConfigError(f"unknown split {split!r}")
-    pred = forward_pass(model.frozen(), inputs)
-    if loss_kind == "quantile":
-        return quantile_loss_batch(targets, pred.data, model.spec.quantiles)
-    return mse_loss_batch(targets, pred.data)
 
 
 def save_train_checkpoint(path, model: Model, adam: AdamState,

@@ -5,18 +5,22 @@ import json
 
 import pytest
 
-from quantforecast.cli import build_parser, main
+from quantforecast.cli import _experiment_config, build_parser, main
 from quantforecast.datapipe import load_csv
 from quantforecast.experiment import (FILE_DATASETS, GENERATED_DATASETS,
                                       STRATEGIES)
 from quantforecast.models import FAMILIES
 
 
-def experiment_choices(flag):
+def experiment_actions():
     parser = build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
-    return next(a.choices for a in commands.choices["experiment"]._actions
+    return commands.choices["experiment"]._actions
+
+
+def experiment_choices(flag):
+    return next(a.choices for a in experiment_actions()
                 if flag in a.option_strings)
 
 
@@ -105,6 +109,67 @@ class TestExperimentCommand:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [
+        ["--data-steps", "0"], ["--data-stride", "0"],
+        ["--data-limit", "-50"], ["--data-offset", "-60"],
+        ["--data-seed", "-1"], ["--base-seed", "-1"], ["--window", "0"],
+        ["--horizons", "0"], ["--hidden1", "0"], ["--workers", "0"]])
+    def test_bad_campaign_numbers_exit_1_before_any_run(self, tmp_path,
+                                                        capsys, bad):
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--dataset", "mackey-glass",
+                     "--family", "lstm", "--runs", "2",
+                     "--data-steps", "100", "--out", str(out)] + bad)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"dataset": "mackey-glass",',
+                                      '["mackey-glass", "linear"]'])
+    def test_bad_config_file_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--config", str(path), "--runs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert not out.exists()
+
+    def test_every_experiment_flag_reaches_the_config(self, tmp_path):
+        out = str(tmp_path / "campaign")
+        expected = dict(
+            name="n", dataset="csv", csv_path="x.csv", family="lstm",
+            strategy="multivariate", quantile=True, quantiles=(0.1, 0.5, 0.9),
+            window=7, horizons=3, hidden1=4, hidden2=6, epochs=2,
+            batch_size=8, learning_rate=0.01, base_seed=5,
+            train_fraction=0.7, clip_norm=1.5, data_seed=9, data_steps=400,
+            data_stride=2, data_limit=300, data_offset=10,
+            lorenz_component="z", denormalized_metrics=True,
+            clip_negative=True, workers=2, output_dir=out, runs=4)
+        argv = ["experiment", "--name", "n", "--dataset", "csv",
+                "--csv-path", "x.csv", "--family", "lstm",
+                "--strategy", "multivariate", "--quantile",
+                "--quantiles", "0.1", "0.5", "0.9", "--window", "7",
+                "--horizons", "3", "--hidden1", "4", "--hidden2", "6",
+                "--epochs", "2", "--batch-size", "8",
+                "--learning-rate", "0.01", "--base-seed", "5",
+                "--train-fraction", "0.7", "--clip-norm", "1.5",
+                "--data-seed", "9", "--data-steps", "400",
+                "--data-stride", "2", "--data-limit", "300",
+                "--data-offset", "10", "--lorenz-component", "z",
+                "--denormalized-metrics", "--clip-negative",
+                "--workers", "2", "--out", out, "--runs", "4"]
+        args = build_parser().parse_args(argv)
+        dests = {a.dest for a in experiment_actions()} - {"help", "config"}
+        assert dests == set(expected)
+        config = _experiment_config(args)
+        for key, value in expected.items():
+            assert getattr(config, key) == value, key
+
     def test_choices_come_from_the_library(self):
         assert experiment_choices("--dataset") == (GENERATED_DATASETS
                                                    + FILE_DATASETS)
@@ -117,6 +182,17 @@ class TestExperimentCommand:
                      "--csv-path", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path)])
         assert code == 2
+
+    def test_short_csv_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("Date,Value\n3\n")
+        code = main(["experiment", "--dataset", "sunspot",
+                     "--family", "linear", "--runs", "1",
+                     "--csv-path", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(row 2)" in err
+        assert "Traceback" not in err
 
 
 class TestTrainCommand:

@@ -133,6 +133,12 @@ class TestLoadCsv:
             load_csv(write_csv(tmp_path / "bad.csv", content), "univariate")
         assert err.value.row == 3
 
+    def test_short_row_reports_row(self, tmp_path):
+        content = "Date,Value\n2020-01-01,1.0\n3\n"
+        with pytest.raises(ParseError) as err:
+            load_csv(write_csv(tmp_path / "short.csv", content), "univariate")
+        assert err.value.row == 3
+
     def test_generated_series_roundtrip(self, tmp_path):
         series = gen_mackey_glass(MackeyGlassParams(steps=50), seed=1)
         path = tmp_path / "mg.csv"

@@ -80,6 +80,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, family="lstm", **bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(data_steps=0), dict(data_steps=5), dict(data_stride=0),
+        dict(data_limit=-50), dict(data_limit=0), dict(data_offset=-60),
+        dict(data_seed=-1), dict(base_seed=-1), dict(base_seed=2**64 - 2),
+        dict(window=0), dict(window=1), dict(horizons=0), dict(workers=0),
+        dict(linear_iterations=0), dict(linear_learning_rate=0.0),
+        dict(linear_learning_rate=-0.05),
+        dict(dataset="lorenz", lorenz_component="w")])
+    def test_bad_campaign_numbers_rejected_at_construction(self, tmp_path,
+                                                           bad):
+        with pytest.raises(ConfigError):
+            tiny_config(tmp_path, **bad)
+
     def test_unset_hidden_sizes_take_family_defaults(self, tmp_path):
         config = tiny_config(tmp_path, family="lstm", hidden2=7)
         assert (config.hidden1, config.hidden2) == (50, 7)

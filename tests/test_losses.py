@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from quantforecast.engine import Tensor, backward
-from quantforecast.errors import InvalidQuantile, MissingMedian, ShapeError
+from quantforecast.errors import InvalidQuantile, ShapeError
 from quantforecast.losses import (DEFAULT_QUANTILES, check_quantiles,
-                                  median_extract, mse_loss_batch, pinball,
+                                  mse_loss_batch, pinball,
                                   quantile_loss_batch)
 
 
@@ -63,7 +63,6 @@ class TestQuantileLossBatch:
         preds = np.repeat(targets[:, :, None], 3, axis=2)
         value = quantile_loss_batch(targets, preds, (0.25, 0.5, 0.75))
         assert value.total == 0.0
-        assert np.all(value.breakdown == 0.0)
 
     def test_median_single_cell(self):
         value = quantile_loss_batch(np.array([[2.0]]), np.array([[[1.0]]]),
@@ -78,12 +77,19 @@ class TestQuantileLossBatch:
         assert value.total == pytest.approx(
             pinball_loops(targets, preds, quantiles), rel=1e-12)
 
-    def test_total_is_mean_of_breakdown(self, rng):
-        targets = rng.normal(size=(4, 3))
-        preds = rng.normal(size=(4, 3, 5))
-        value = quantile_loss_batch(targets, preds, DEFAULT_QUANTILES)
-        assert value.total == pytest.approx(float(value.breakdown.mean()))
-        assert np.all(value.breakdown >= 0.0)
+    def test_array_equals_numpy_oracle_bytewise(self, rng):
+        # An array takes the tensor ops as a leaf: same bytes as the plain
+        # numpy expression, and a node with no tape behind it.
+        for _ in range(20):
+            targets = rng.normal(size=(7, 3))
+            preds = rng.normal(size=(7, 3, 5))
+            q = np.asarray(DEFAULT_QUANTILES).reshape(1, 1, 5)
+            u = targets[:, :, None] - preds
+            oracle = float(np.where(u >= 0, q * u, (q - 1) * u).mean())
+            value = quantile_loss_batch(targets, preds, DEFAULT_QUANTILES)
+            assert value.total == oracle
+            assert value.node.item() == oracle
+            assert value.node.parents == ()
 
     def test_flat_layout_mismatch(self):
         # only the (batch, horizons, levels) layout is accepted, even when
@@ -141,50 +147,35 @@ class TestEmpiricalQuantileMinimizer:
 class TestMseLoss:
     def test_identical_is_zero(self, rng):
         y = rng.normal(size=(4, 3))
-        assert mse_loss_batch(y, y.copy()).total == 0.0
+        assert mse_loss_batch(y, y[:, :, None].copy()).total == 0.0
 
     def test_unit_error(self):
-        assert mse_loss_batch(np.zeros((1, 2)), np.ones((1, 2))).total == 1.0
+        assert mse_loss_batch(np.zeros((1, 2)),
+                              np.ones((1, 2, 1))).total == 1.0
 
     def test_equals_squared_rmse(self, rng):
         from quantforecast.evaluation import rmse
         y = rng.normal(size=(10, 1))
         y_hat = rng.normal(size=(10, 1))
-        value = mse_loss_batch(y, y_hat)
+        value = mse_loss_batch(y, y_hat[:, :, None])
         scalar, _ = rmse(y, y_hat)
         assert value.total == pytest.approx(scalar ** 2)
 
     def test_single_level_axis_squeezed(self, rng):
-        y = rng.normal(size=(4, 3))
-        p = rng.normal(size=(4, 3, 1))
-        assert mse_loss_batch(y, p).total == pytest.approx(
-            float(np.mean((y - p[:, :, 0]) ** 2)))
+        for _ in range(20):
+            y = rng.normal(size=(4, 3))
+            p = rng.normal(size=(4, 3, 1))
+            value = mse_loss_batch(y, p)
+            assert value.total == float(((y - p[:, :, 0]) ** 2).mean())
+            assert value.node.parents == ()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mse_loss_batch(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestMedianExtract:
-    def test_default_set_slices_middle(self, rng):
-        preds = rng.normal(size=(2, 2, 5))
-        out = median_extract(preds, DEFAULT_QUANTILES)
-        assert np.array_equal(out, preds[:, :, 2])
-
-    def test_singleton_median_is_identity(self, rng):
-        preds = rng.normal(size=(3, 4, 1))
-        assert np.array_equal(median_extract(preds, (0.5,)), preds[:, :, 0])
-
-    def test_manual_indexing_oracle(self):
-        preds = np.arange(2 * 2 * 5, dtype=float).reshape(2, 2, 5)
-        out = median_extract(preds, DEFAULT_QUANTILES)
-        for i in range(2):
-            for h in range(2):
-                assert out[i, h] == preds[i, h, 2]
-
-    def test_missing_median(self):
-        with pytest.raises(MissingMedian):
-            median_extract(np.zeros((1, 1, 2)), (0.25, 0.75))
+            mse_loss_batch(np.zeros((2, 2)), np.zeros((2, 3, 1)))
+        # only the single-level (batch, horizons, 1) layout is accepted
+        for pred in (np.zeros((2, 2)), Tensor(np.zeros((2, 2)))):
+            with pytest.raises(ShapeError):
+                mse_loss_batch(np.zeros((2, 2)), pred)
 
 
 class TestQuantileValidation:

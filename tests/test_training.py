@@ -4,18 +4,17 @@ checkpoint/resume fidelity."""
 import numpy as np
 import pytest
 
-from quantforecast.engine import Gradients, SeededRng, Tensor
+from quantforecast.engine import SeededRng, Tensor
 from quantforecast.errors import ConfigError, NumericalError, TrainingDiverged
-from quantforecast.losses import DEFAULT_QUANTILES, quantile_loss_batch
 from quantforecast.models import ModelSpec, build_model, forward_pass
 from quantforecast.training import (AdamState, TrainConfig, adam_step,
-                                    load_train_checkpoint, loss_eval,
+                                    load_train_checkpoint,
                                     save_train_checkpoint, train)
 
 
 def grads_for(params, arrays):
-    return Gradients({p.node_id: np.asarray(a, dtype=np.float64)
-                      for p, a in zip(params.values(), arrays)})
+    return {p: np.asarray(a, dtype=np.float64)
+            for p, a in zip(params.values(), arrays)}
 
 
 class TestAdamStep:
@@ -163,48 +162,6 @@ class TestTrainLoop:
                                    learning_rate=1e-2, loss="mse",
                                    clip_norm=1e-8), SeededRng(1))
         assert np.all(np.isfinite(result.epoch_losses))
-
-
-class TestLossEval:
-    def test_pure_and_repeatable(self):
-        dataset = linear_dataset()
-        spec = ModelSpec(family="linear", features=1, window=3, horizons=2,
-                         hidden1=1, hidden2=1, quantiles=DEFAULT_QUANTILES)
-        model = build_model(spec, SeededRng(2))
-        before = model.snapshot()
-        first = loss_eval(model, dataset, "quantile")
-        second = loss_eval(model, dataset, "quantile")
-        assert first.total == second.total
-        for name, p in model.params.items():
-            assert np.array_equal(p.data, before[name])
-
-    def test_zero_head_on_zero_targets(self):
-        ds = linear_dataset()
-        ds.targets = ds.targets * 0.0
-        spec = ModelSpec(family="linear", features=1, window=3, horizons=2,
-                         hidden1=1, hidden2=1)
-        model = build_model(spec, SeededRng(2))
-        model.params["head.w"].data[...] = 0.0
-        model.params["head.b"].data[...] = 0.0
-        assert loss_eval(model, ds, "mse").total == 0.0
-
-    def test_equals_manual_batch_composition(self):
-        dataset = linear_dataset()
-        spec = ModelSpec(family="lstm", features=1, window=3, horizons=2,
-                         hidden1=3, hidden2=3, quantiles=(0.25, 0.5, 0.75))
-        model = build_model(spec, SeededRng(3))
-        whole = loss_eval(model, dataset, "quantile", split="test")
-        inputs, targets = dataset.test_inputs, dataset.test_targets
-        n = inputs.shape[0]
-        cut = n // 2
-        parts = []
-        for sl in (slice(0, cut), slice(cut, n)):
-            pred = forward_pass(model, inputs[sl]).data
-            value = quantile_loss_batch(targets[sl], pred, (0.25, 0.5, 0.75))
-            parts.append((value.total, sl.stop - sl.start
-                          if sl.stop else n - cut))
-        composed = sum(t * w for t, w in parts) / n
-        assert whole.total == pytest.approx(composed, rel=1e-12)
 
 
 class TestCheckpointResume:
