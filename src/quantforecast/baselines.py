@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Tensor, add, backward, matmul, reshape
-from .errors import ConfigError, SingularSystem, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .losses import check_quantiles, quantile_loss_batch
 
 # Convergence rule for the gradient-descent quantile fit: stop once the
@@ -45,11 +45,11 @@ def _flatten_windows(inputs: np.ndarray) -> np.ndarray:
                       f"got shape {inputs.shape}")
 
 
-def fit_ols(dataset, ridge_fallback: bool = True) -> LinearModel:
+def fit_ols(dataset) -> LinearModel:
     """Closed-form least squares per horizon on flattened training windows.
 
     A rank-deficient normal matrix falls back to a tiny ridge (1e-8) with a
-    warning, or raises SingularSystem when the fallback is disabled.
+    warning.
     """
     x = _flatten_windows(dataset.train_inputs)
     y = np.asarray(dataset.train_targets, dtype=np.float64)
@@ -62,8 +62,6 @@ def fit_ols(dataset, ridge_fallback: bool = True) -> LinearModel:
             raise np.linalg.LinAlgError("rank deficient")
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        if not ridge_fallback:
-            raise SingularSystem("normal matrix is singular") from None
         warnings.warn("singular normal matrix; applying ridge 1e-8",
                       stacklevel=2)
         theta = np.linalg.solve(gram + 1e-8 * np.eye(gram.shape[0]), rhs)

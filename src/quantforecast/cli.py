@@ -3,8 +3,9 @@
 Subcommands: generate (synthetic series to CSV), train (single run),
 experiment (multi-run campaign), report (re-aggregate persisted runs),
 gradcheck (gradient acceptance suite). A JSON config file may supply any
-experiment field, and no other key; flags override file values. The
-QUANTFORECAST_OUT environment variable prefixes relative output paths.
+experiment field, with a value of the type the field declares, and no
+other key; flags override file values. The QUANTFORECAST_OUT environment
+variable prefixes relative output paths.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -94,16 +95,17 @@ def _experiment_config(args, runs: int | None = None) -> ExperimentConfig:
 
 
 def _cmd_generate(args) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
+    # Unset flags leave the generator's own defaults in place.
+    cls = MackeyGlassParams if args.generator == "mackey-glass" \
+        else LorenzParams
+    params = cls(**{f.name: getattr(args, f.name)
+                    for f in dataclasses.fields(cls)
+                    if getattr(args, f.name, None) is not None})
     if args.generator == "mackey-glass":
-        params = MackeyGlassParams(
-            a=args.a, b=args.b, delay=args.delay, dt=args.dt or 1.0,
-            steps=args.steps or 3000)
         series = gen_mackey_glass(params, args.seed)
     else:
-        params = LorenzParams(
-            rho=args.rho, sigma=args.sigma, beta=args.beta,
-            dt=args.dt or 0.01, steps=args.steps or 10000,
-            component=args.component)
         series, _ = gen_lorenz(params, args.seed)
     out = resolve_output_dir(args.out)
     write_series_csv(out, series)
@@ -162,15 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--steps", type=int)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--dt", type=float)
-    p_gen.add_argument("--a", type=float, default=0.2,
+    p_gen.add_argument("--a", type=float,
                        help="mackey-glass production coefficient")
-    p_gen.add_argument("--b", type=float, default=0.1,
+    p_gen.add_argument("--b", type=float,
                        help="mackey-glass decay coefficient")
-    p_gen.add_argument("--delay", type=int, default=10)
-    p_gen.add_argument("--rho", type=float, default=28.0)
-    p_gen.add_argument("--sigma", type=float, default=10.0)
-    p_gen.add_argument("--beta", type=float, default=2.667)
-    p_gen.add_argument("--component", choices=["x", "y", "z"], default="x")
+    p_gen.add_argument("--delay", type=int)
+    p_gen.add_argument("--rho", type=float)
+    p_gen.add_argument("--sigma", type=float)
+    p_gen.add_argument("--beta", type=float)
+    p_gen.add_argument("--component", choices=["x", "y", "z"])
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_generate)
 

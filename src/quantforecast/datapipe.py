@@ -60,8 +60,9 @@ class MackeyGlassParams:
     jitter: float = 0.01
 
     def __post_init__(self):
-        if self.delay < 1 or self.steps < self.delay + 2:
-            raise ConfigError("need delay >= 1 and steps >= delay + 2")
+        if self.delay < 1 or self.steps < self.delay + 2 or self.dt <= 0:
+            raise ConfigError("need delay >= 1, steps >= delay + 2 and "
+                              "dt > 0")
 
 
 @dataclass
@@ -76,8 +77,8 @@ class LorenzParams:
     component: str = "x"
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise ConfigError("need steps >= 2")
+        if self.steps < 2 or self.dt <= 0:
+            raise ConfigError("need steps >= 2 and dt > 0")
         if self.component not in ("x", "y", "z"):
             raise ConfigError(f"unknown component {self.component!r}")
 
@@ -236,8 +237,8 @@ class WindowedDataset:
 
     inputs[i] covers series rows i .. i+d-1 over all features; targets[i]
     covers rows i+d .. i+d+m-1 of the target column. Normalisation is
-    per-feature min-max fitted, by default, on the whole raw series; the
-    split is a seeded shuffle of window indices, train share 0.8.
+    per-feature min-max fitted on the whole raw series; the split is a
+    seeded shuffle of window indices, train share 0.8.
     """
     name: str
     inputs: np.ndarray   # (N, d, f)
@@ -328,15 +329,12 @@ def make_windows(series: RawSeries, window: int, horizons: int,
 
 
 def normalize_and_split(dataset: WindowedDataset, seed: int,
-                        train_fraction: float = 0.8,
-                        fit_on_train_only: bool = False) -> WindowedDataset:
+                        train_fraction: float = 0.8) -> WindowedDataset:
     """Min-max scale every feature to [0, 1], then split window indices by
     a seeded shuffle, train share round(train_fraction * N).
 
-    Scaling is fitted on the whole series by default (pipeline order:
-    normalise, then split); fit_on_train_only restricts the fit to the
-    training windows for leakage-sensitive studies. Finalized arrays are
-    read-only.
+    Scaling is fitted on the whole raw series (pipeline order: normalise,
+    then split). Finalized arrays are read-only.
     """
     if dataset.normalized:
         raise ConfigError("dataset already normalized")
@@ -347,13 +345,8 @@ def normalize_and_split(dataset: WindowedDataset, seed: int,
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(order[n_train:])
 
-    if fit_on_train_only:
-        flat = dataset.inputs[train_idx].reshape(-1, dataset.features)
-        lo = flat.min(axis=0)
-        hi = flat.max(axis=0)
-    else:
-        lo = dataset.series_min.copy()
-        hi = dataset.series_max.copy()
+    lo = dataset.series_min.copy()
+    hi = dataset.series_max.copy()
     span = hi - lo
     for j, name in enumerate(dataset.feature_names):
         if span[j] == 0.0:

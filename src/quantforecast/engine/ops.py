@@ -83,16 +83,6 @@ def hadamard(a, b) -> Tensor:
     return _node("hadamard", a.data * b.data, (a, b), backward_fn)
 
 
-def scalar_mul(a, c: float) -> Tensor:
-    a = _wrap(a)
-    c = float(c)
-
-    def backward_fn(g):
-        return [(a, g * c)]
-
-    return _node("scalar-mul", a.data * c, (a,), backward_fn)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -157,21 +147,6 @@ def reshape(a, shape) -> Tensor:
     return _node("reshape", a.data.reshape(shape), (a,), backward_fn)
 
 
-def transpose(a, axes=None) -> Tensor:
-    a = _wrap(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    axes = tuple(int(i) for i in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError("transpose", a.shape, axes)
-    inverse = np.argsort(axes)
-
-    def backward_fn(g):
-        return [(a, g.transpose(inverse))]
-
-    return _node("transpose", a.data.transpose(axes), (a,), backward_fn)
-
-
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
     # Split by sign so exp never overflows.
@@ -228,15 +203,6 @@ def conv1d(x, w) -> Tensor:
     return _node("conv1d", out, (x, w), backward_fn)
 
 
-def reduce_sum(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward_fn(g):
-        return [(a, np.broadcast_to(g, a.shape).copy())]
-
-    return _node("reduce-sum", np.sum(a.data), (a,), backward_fn)
-
-
 def reduce_mean(a) -> Tensor:
     a = _wrap(a)
     n = a.size
@@ -273,16 +239,13 @@ OP_TABLE = {
     "add": add,
     "sub": sub,
     "hadamard": hadamard,
-    "scalar-mul": scalar_mul,
     "concat": concat,
     "slice": slice_axis,
     "reshape": reshape,
-    "transpose": transpose,
     "sigmoid": sigmoid,
     "tanh": tanh,
     "relu": relu,
     "conv1d": conv1d,
     "reduce-mean": reduce_mean,
-    "reduce-sum": reduce_sum,
     "pinball-residual-branch": pinball_branch,
 }

@@ -115,14 +115,13 @@ class Tensor:
         return f"Tensor({tag}, shape={self.shape})"
 
 
-def tensor_new(shape, fill: str = "zeros", *, value: float = 0.0,
-               rng: SeededRng | None = None, requires_grad: bool = False,
-               name: str | None = None) -> Tensor:
+def tensor_new(shape, fill: str = "zeros", *, rng: SeededRng | None = None,
+               requires_grad: bool = False, name: str | None = None) -> Tensor:
     """Allocate a leaf tensor of the given shape.
 
-    fill is one of "zeros", "constant" (uses value), "glorot" (uniform on
-    (-L, L) with L = sqrt(6 / (fan_in + fan_out))), or "normal" (standard
-    normal). The random fills require a SeededRng.
+    fill is "zeros" (biases and initial LSTM states) or "glorot" (weights:
+    uniform on (-L, L) with L = sqrt(6 / (fan_in + fan_out)), drawn from
+    the SeededRng that glorot requires).
     """
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0:
@@ -132,18 +131,12 @@ def tensor_new(shape, fill: str = "zeros", *, value: float = 0.0,
 
     if fill == "zeros":
         data = np.zeros(shape)
-    elif fill == "constant":
-        data = np.full(shape, float(value))
     elif fill == "glorot":
         if rng is None:
             raise ValueError("glorot fill needs a SeededRng")
         fan_in, fan_out = _fans(shape)
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         data = rng.uniform(-limit, limit, shape)
-    elif fill == "normal":
-        if rng is None:
-            raise ValueError("normal fill needs a SeededRng")
-        data = rng.standard_normal(shape)
     else:
         raise ValueError(f"unknown fill rule {fill!r}")
     return Tensor(data, requires_grad=requires_grad, name=name)

@@ -66,7 +66,8 @@ class InsufficientData(ForecastError):
 
 
 class SchemaError(ForecastError):
-    """CSV file is missing required columns."""
+    """CSV file is missing required columns, or a run report file lacks
+    the fields of a run report."""
 
 
 class ParseError(ForecastError):
@@ -79,10 +80,6 @@ class ParseError(ForecastError):
 
 class DegenerateFeature(ForecastError):
     """Feature has zero range so min-max scaling is undefined."""
-
-
-class SingularSystem(ForecastError):
-    """Normal equations are singular and the ridge fallback is disabled."""
 
 
 class EmptyEval(ForecastError):

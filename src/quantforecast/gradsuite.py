@@ -7,8 +7,7 @@ import numpy as np
 
 from .engine import (GradCheckReport, SeededRng, Tensor, add, concat, conv1d,
                      grad_check, hadamard, matmul, pinball_branch, reduce_mean,
-                     reduce_sum, relu, reshape, scalar_mul, sigmoid,
-                     slice_axis, sub, tanh, transpose)
+                     relu, reshape, sigmoid, slice_axis, sub, tanh)
 from .losses import quantile_loss_batch
 from .models import FAMILIES, ModelSpec, build_model, forward_pass
 
@@ -47,9 +46,6 @@ def _op_cases(rng: SeededRng):
     g, h = leaf((3, 4)), leaf((3, 4))
     cases["hadamard"] = ({"g": g, "h": h},
                          lambda: reduce_mean(hadamard(g, h)))
-    i = leaf((3, 4))
-    cases["scalar-mul"] = ({"i": i},
-                           lambda: reduce_mean(tanh(scalar_mul(i, 1.7))))
     j, k = leaf((2, 3)), leaf((2, 2))
     cases["concat"] = ({"j": j, "k": k},
                        lambda: reduce_mean(tanh(concat([j, k], axis=1))))
@@ -59,9 +55,6 @@ def _op_cases(rng: SeededRng):
     n = leaf((2, 6))
     cases["reshape"] = ({"n": n},
                         lambda: reduce_mean(tanh(reshape(n, (3, 4)))))
-    o = leaf((2, 5))
-    cases["transpose"] = ({"o": o},
-                          lambda: reduce_mean(tanh(matmul(transpose(o), o))))
     p = leaf((3, 4))
     cases["sigmoid"] = ({"p": p}, lambda: reduce_mean(sigmoid(p)))
     q = leaf((3, 4))
@@ -73,9 +66,6 @@ def _op_cases(rng: SeededRng):
                        lambda: reduce_mean(tanh(conv1d(s, sw))))
     u = leaf((3, 4))
     cases["reduce-mean"] = ({"u": u}, lambda: reduce_mean(hadamard(u, u)))
-    v = leaf((3, 4))
-    cases["reduce-sum"] = (
-        {"v": v}, lambda: scalar_mul(reduce_sum(hadamard(v, v)), 1e-2))
     x = leaf((3, 4), away=0.2)
     cases["pinball-residual-branch"] = (
         {"x": x}, lambda: reduce_mean(pinball_branch(x, 0.75)))

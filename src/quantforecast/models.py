@@ -277,8 +277,7 @@ def forward_pass(model: Model, window_batch) -> Tensor:
             stage = "decoder"
             dec = _lstm([context] * m, params, "dec")
             stage = "head"
-            steps = [reshape(_dense(h, params), (batch, 1, k)) for h in dec]
-            return concat(steps, axis=1)
+            out = concat([_dense(h, params) for h in dec], axis=1)
         elif spec.family == "convlstm":
             stage = "conv"
             w = params["conv.w"]

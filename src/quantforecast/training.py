@@ -96,7 +96,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     loss: str = "quantile"
-    shuffle: bool = True
     clip_norm: float | None = None
     checkpoint_every: int | None = None
     checkpoint_dir: str | None = None
@@ -161,7 +160,7 @@ def train(model: Model, dataset, config: TrainConfig, rng: SeededRng,
     last_good = model.snapshot()
 
     for epoch in range(start_epoch, config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_sum = 0.0
         for lo in range(0, n, config.batch_size):
             index = order[lo:lo + config.batch_size]

@@ -6,8 +6,8 @@ import pytest
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, backward,
                                   concat, conv1d, grad_check, hadamard,
                                   matmul, pinball_branch, reduce_mean,
-                                  reduce_sum, reshape, scalar_mul, sigmoid,
-                                  slice_axis, tanh, tensor_new)
+                                  reshape, sigmoid, slice_axis, tanh,
+                                  tensor_new)
 from quantforecast.errors import NotScalar
 from quantforecast.gradsuite import check_all_families, check_all_ops
 from quantforecast.models import FAMILIES
@@ -30,13 +30,13 @@ def central_difference(loss_fn, param, h=1e-5):
 
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
-        p = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        grads = backward(reduce_sum(p), [p])
-        assert grads[p].tolist() == [1.0, 1.0, 1.0]
+        p = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
+        grads = backward(matmul(p, Tensor(np.ones((3, 1)))), [p])
+        assert grads[p].tolist() == [[1.0, 1.0, 1.0]]
 
     def test_square_gradient(self):
         p = Tensor([2.0], requires_grad=True)
-        grads = backward(reduce_sum(hadamard(p, p)), [p])
+        grads = backward(reduce_mean(hadamard(p, p)), [p])
         assert grads[p].tolist() == [4.0]
 
     def test_non_scalar_loss_rejected(self):
@@ -47,14 +47,14 @@ class TestBackwardBasics:
     def test_unreachable_parameter_gets_zero_gradient(self):
         p = Tensor([1.0], requires_grad=True)
         unused = Tensor([[5.0, 1.0]], requires_grad=True)
-        grads = backward(reduce_sum(p), [p, unused])
+        grads = backward(reduce_mean(p), [p, unused])
         assert grads[unused].shape == (1, 2)
         assert np.all(grads[unused] == 0.0)
 
     def test_fanout_accumulates(self):
         p = Tensor([3.0], requires_grad=True)
-        # f = p*p + 2p -> f' = 2p + 2 = 8
-        loss = reduce_sum(add(hadamard(p, p), scalar_mul(p, 2.0)))
+        # f = p*p + (p + p) -> f' = 2p + 2 = 8
+        loss = reduce_mean(add(hadamard(p, p), add(p, p)))
         grads = backward(loss, [p])
         assert grads[p].tolist() == [8.0]
 
@@ -63,10 +63,10 @@ class TestBackwardBasics:
         # two more contributions, which must not write into q's gradient.
         p = Tensor([[1.0, 2.0]], requires_grad=True)
         q = Tensor([[3.0, 4.0]], requires_grad=True)
-        f = add(add(scalar_mul(p, 3.0), add(p, q)), p)
-        grads = backward(reduce_sum(f), [p, q])
-        assert grads[p].tolist() == [[5.0, 5.0]]
-        assert grads[q].tolist() == [[1.0, 1.0]]
+        f = add(add(add(add(p, p), p), add(p, q)), p)
+        grads = backward(reduce_mean(f), [p, q])
+        assert grads[p].tolist() == [[2.5, 2.5]]
+        assert grads[q].tolist() == [[0.5, 0.5]]
 
     def test_ops_off_gradient_path_record_no_tape(self):
         x = Tensor([[1.0, 2.0]])
@@ -77,13 +77,13 @@ class TestBackwardBasics:
         assert live.parents[0].parents == (x, p)
         assert frozen.data.tobytes() == live.data.tobytes()
         # a recorded op still takes gradients through an unrecorded parent
-        loss = reduce_sum(hadamard(p, tanh(Tensor([[0.5], [-1.0]]))))
-        assert backward(loss, [p])[p].tolist() == [[np.tanh(0.5)],
-                                                   [np.tanh(-1.0)]]
+        loss = reduce_mean(hadamard(p, tanh(Tensor([[0.5], [-1.0]]))))
+        assert backward(loss, [p])[p].tolist() == [[np.tanh(0.5) / 2],
+                                                   [np.tanh(-1.0) / 2]]
 
     def test_graph_consumed_after_backward(self):
         p = Tensor([1.0], requires_grad=True)
-        loss = reduce_sum(hadamard(p, p))
+        loss = reduce_mean(hadamard(p, p))
         backward(loss, [p])
         with pytest.raises(RuntimeError):
             backward(loss, [p])
@@ -92,8 +92,8 @@ class TestBackwardBasics:
 class TestFiniteDifferenceOracle:
     def test_random_ten_parameter_graph(self):
         rng = SeededRng(5)
-        params = {f"p{i}": tensor_new([2, 2], "normal", rng=rng,
-                                      requires_grad=True, name=f"p{i}")
+        params = {f"p{i}": Tensor(rng.standard_normal((2, 2)),
+                                  requires_grad=True, name=f"p{i}")
                   for i in range(10)}
 
         def loss_fn():
@@ -112,8 +112,8 @@ class TestFiniteDifferenceOracle:
 
     def test_composite_with_conv_concat_slice(self):
         rng = SeededRng(9)
-        x = tensor_new([2, 6, 2], "normal", rng=rng, requires_grad=True)
-        w = tensor_new([2, 2, 3], "normal", rng=rng, requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 6, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 3)), requires_grad=True)
 
         def loss_fn():
             c = tanh(conv1d(x, w))
@@ -134,10 +134,10 @@ class TestFiniteDifferenceOracle:
         u = Tensor([0.4, -0.7, 1.2], requires_grad=True)
 
         def loss_fn():
-            return reduce_sum(pinball_branch(u, 0.9))
+            return reduce_mean(pinball_branch(u, 0.9))
 
         grads = backward(loss_fn(), [u])
-        assert np.allclose(grads[u], [0.9, -0.1, 0.9])
+        assert np.allclose(grads[u], [0.3, -0.1 / 3, 0.3])
 
 
 class TestGradCheckHarness:
@@ -145,7 +145,7 @@ class TestGradCheckHarness:
         w = Tensor([[1.0]], requires_grad=True, name="w")
         x = Tensor([[1.0]])
 
-        report = grad_check(lambda: reduce_sum(matmul(x, w)), {"w": w})
+        report = grad_check(lambda: reduce_mean(matmul(x, w)), {"w": w})
         assert report.passed
         assert report.max_rel_err < 1e-9
 
@@ -158,12 +158,12 @@ class TestGradCheckHarness:
                               requires_grad=True),
             "w_h": tensor_new([hidden, 4 * hidden], "glorot", rng=rng,
                               requires_grad=True),
-            "b": tensor_new([4 * hidden], "normal", rng=rng,
-                            requires_grad=True),
+            "b": Tensor(rng.standard_normal((4 * hidden,)),
+                        requires_grad=True),
         }
-        x = tensor_new([2, 3], "normal", rng=rng)
-        h0 = tensor_new([2, hidden], "normal", rng=rng)
-        c0 = tensor_new([2, hidden], "normal", rng=rng)
+        x = Tensor(rng.standard_normal((2, 3)))
+        h0 = Tensor(rng.standard_normal((2, hidden)))
+        c0 = Tensor(rng.standard_normal((2, hidden)))
 
         def loss_fn():
             h, c = lstm_cell_step(x, h0, c0, params)
@@ -177,7 +177,7 @@ class TestGradCheckHarness:
         u = Tensor([0.0], requires_grad=True, name="u")
 
         def loss_fn():
-            return reduce_sum(pinball_branch(u, 0.75))
+            return reduce_mean(pinball_branch(u, 0.75))
 
         report = grad_check(loss_fn, {"u": u})
         block = report.blocks["u"]
@@ -188,7 +188,7 @@ class TestGradCheckHarness:
     def test_rejects_bad_tolerances(self):
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
-            grad_check(lambda: reduce_sum(p), {"p": p}, h=-1.0)
+            grad_check(lambda: reduce_mean(p), {"p": p}, h=-1.0)
 
 
 class TestSuiteProperties:

@@ -3,10 +3,11 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from quantforecast.cli import _experiment_config, build_parser, main
-from quantforecast.datapipe import load_csv
+from quantforecast.datapipe import LorenzParams, gen_lorenz, load_csv
 from quantforecast.experiment import (FILE_DATASETS, GENERATED_DATASETS,
                                       STRATEGIES)
 from quantforecast.models import FAMILIES
@@ -45,6 +46,26 @@ class TestGenerate:
         assert main(["generate", "mackey-glass", "--steps", "60",
                      "--out", "sub.csv"]) == 0
         assert (tmp_path / "sub.csv").exists()
+
+    def test_unset_flags_take_generator_defaults(self, tmp_path):
+        out = tmp_path / "lz.csv"
+        assert main(["generate", "lorenz", "--steps", "50",
+                     "--out", str(out)]) == 0
+        expected, _ = gen_lorenz(LorenzParams(steps=50), seed=0)
+        assert np.array_equal(load_csv(out, "univariate").values,
+                              expected.values)
+
+    @pytest.mark.parametrize("bad", [
+        ["mackey-glass", "--steps", "0"], ["mackey-glass", "--dt", "0"],
+        ["lorenz", "--steps", "0"], ["lorenz", "--dt", "0"],
+        ["mackey-glass", "--seed", "-1"]])
+    def test_bad_generator_settings_exit_1(self, tmp_path, capsys, bad):
+        out = tmp_path / "series.csv"
+        assert main(["generate"] + bad + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestExperimentCommand:
@@ -113,7 +134,8 @@ class TestExperimentCommand:
         ["--data-steps", "0"], ["--data-stride", "0"],
         ["--data-limit", "-50"], ["--data-offset", "-60"],
         ["--data-seed", "-1"], ["--base-seed", "-1"], ["--window", "0"],
-        ["--horizons", "0"], ["--hidden1", "0"], ["--workers", "0"]])
+        ["--horizons", "0"], ["--hidden1", "0"], ["--workers", "0"],
+        ["--quantiles", "0.1", "0.9"]])
     def test_bad_campaign_numbers_exit_1_before_any_run(self, tmp_path,
                                                         capsys, bad):
         out = tmp_path / "campaign"
@@ -137,6 +159,23 @@ class TestExperimentCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("window", "5"), ("quantiles", 5), ("quantile", "no"),
+        ("epochs", True), ("learning_rate", "0.1")])
+    def test_mistyped_config_value_exit_1(self, tmp_path, capsys, key,
+                                          value):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"dataset": "mackey-glass",
+                                    "family": "linear", key: value}))
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--config", str(path), "--runs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_every_experiment_flag_reaches_the_config(self, tmp_path):
@@ -219,6 +258,20 @@ class TestReportCommand:
 
     def test_empty_dir_exit_1(self, tmp_path):
         assert main(["report", "--runs-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("text", ['{"seed": 0, "quan', '{"seed": 0}'])
+    def test_bad_run_file_exit_2(self, tmp_path, capsys, text):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        path = runs / "run_0.json"
+        path.write_text(text)
+        out = tmp_path / "tables"
+        code = main(["report", "--runs-dir", str(runs), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a run report")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

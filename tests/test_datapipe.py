@@ -47,6 +47,11 @@ class TestMackeyGlass:
         with pytest.raises(ConfigError):
             MackeyGlassParams(steps=5, delay=10)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_non_positive_step_rejected(self, dt):
+        with pytest.raises(ConfigError, match="dt > 0"):
+            MackeyGlassParams(dt=dt)
+
 
 class TestLorenz:
     def test_requested_length_and_full_series(self):
@@ -81,6 +86,11 @@ class TestLorenz:
         ds = downsample(uni, stride=3, limit=300)
         assert ds.length == 300
         assert np.array_equal(ds.values[:, 0], uni.values[::3][:300, 0])
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_non_positive_step_rejected(self, dt):
+        with pytest.raises(ConfigError, match="dt > 0"):
+            LorenzParams(dt=dt)
 
 
 def write_csv(path, text):
@@ -264,12 +274,3 @@ class TestNormalizeAndSplit:
         ds = normalize_and_split(make_windows(series, 4, 2), seed=0)
         with pytest.raises(ValueError):
             ds.inputs[0, 0, 0] = 5.0
-
-    def test_fit_on_train_only_flag(self):
-        series = RawSeries("s", ["value"], np.arange(30.0))
-        ds = normalize_and_split(make_windows(series, 4, 2), seed=0,
-                                 fit_on_train_only=True)
-        # with the fit restricted to training windows, some test values may
-        # now fall outside [0, 1]; the train inputs never do
-        assert np.all(ds.train_inputs >= 0.0)
-        assert np.all(ds.train_inputs <= 1.0)

@@ -5,9 +5,8 @@ import pytest
 
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, concat,
                                   conv1d, hadamard, matmul, pinball_branch,
-                                  reduce_mean, reduce_sum, relu, reshape,
-                                  scalar_mul, sigmoid, slice_axis, sub, tanh,
-                                  tensor_new, transpose)
+                                  reduce_mean, relu, reshape, sigmoid,
+                                  slice_axis, sub, tanh, tensor_new)
 from quantforecast.errors import InvalidShape, NumericalError, ShapeError
 
 
@@ -16,10 +15,6 @@ class TestTensorNew:
         t = tensor_new([2, 3], "zeros")
         assert t.shape == (2, 3)
         assert np.all(t.data == 0.0)
-
-    def test_constant(self):
-        t = tensor_new([1], "constant", value=5.0)
-        assert t.data.tolist() == [5.0]
 
     def test_glorot_same_seed_is_bitwise_identical(self):
         a = tensor_new([4, 4], "glorot", rng=SeededRng(7))
@@ -94,12 +89,8 @@ class TestOpValues:
         assert tanh(Tensor([0.0])).data[0] == 0.0
         assert relu(Tensor([-2.0, 0.0, 3.0])).data.tolist() == [0, 0, 3]
 
-    def test_scalar_mul(self):
-        assert scalar_mul(Tensor([1.5, -2.0]), 2.0).data.tolist() == [3.0, -4.0]
-
     def test_reductions(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert reduce_sum(t).item() == 10.0
         assert reduce_mean(t).item() == 2.5
 
     def test_pinball_branch_values(self):
@@ -153,17 +144,12 @@ class TestStructuralProperties:
             assert np.array_equal(first.data, a.data)
             assert np.array_equal(second.data, b.data)
 
-    def test_transpose_roundtrip(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4)))
-        assert np.array_equal(transpose(transpose(x, (2, 0, 1)), (1, 2, 0)).data,
-                              x.data)
-
     def test_op_sequence_is_deterministic(self):
         def build(seed):
             rng = SeededRng(seed)
             x = tensor_new([4, 4], "glorot", rng=rng)
-            y = tensor_new([4, 4], "normal", rng=rng)
-            out = reduce_sum(tanh(matmul(sigmoid(x), sub(y, x))))
+            y = Tensor(rng.standard_normal((4, 4)))
+            out = reduce_mean(tanh(matmul(sigmoid(x), sub(y, x))))
             return out.item()
 
         assert build(42) == build(42)
@@ -179,6 +165,6 @@ class TestStructuralProperties:
         out = OP_TABLE["slice"](a, axis=1, start=0, stop=1)
         assert out.op == "slice" and out.data.tolist() == [[1.0]]
         assert set(OP_TABLE) == {
-            "matmul", "add", "sub", "hadamard", "scalar-mul", "concat",
-            "slice", "reshape", "transpose", "sigmoid", "tanh", "relu",
-            "conv1d", "reduce-mean", "reduce-sum", "pinball-residual-branch"}
+            "matmul", "add", "sub", "hadamard", "concat", "slice", "reshape",
+            "sigmoid", "tanh", "relu", "conv1d", "reduce-mean",
+            "pinball-residual-branch"}

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from quantforecast.errors import ConfigError
+from quantforecast.errors import ConfigError, SchemaError
 from quantforecast.evaluation import AggregateCell, AggregateReport
 from quantforecast.experiment import (ExperimentConfig, build_series,
                                       emit_report, load_run_reports,
@@ -93,6 +93,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, **bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(window="5"), dict(window=5.0), dict(quantiles=5),
+        dict(quantiles=[0.5, "0.9"]), dict(quantile="no"), dict(quantile=1),
+        dict(runs=2.0), dict(data_seed=True), dict(learning_rate="1e-3"),
+        dict(learning_rate=None), dict(csv_path=3), dict(family=None)])
+    def test_mistyped_field_rejected(self, tmp_path, bad):
+        (name, value), = bad.items()
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            tiny_config(tmp_path, **bad)
+
+    def test_field_types_follow_the_annotations(self, tmp_path):
+        # an int stands in a float field; None where the field allows it;
+        # a list for the quantile levels
+        config = tiny_config(tmp_path, learning_rate=1, train_fraction=0.5,
+                             clip_norm=None, window=None,
+                             quantiles=[0.25, 0.5, 0.75])
+        assert config.quantiles == (0.25, 0.5, 0.75)
+
+    def test_quantile_set_without_median_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="must include 0.5"):
+            tiny_config(tmp_path, quantiles=(0.1, 0.9))
+        assert tiny_config(tmp_path, quantiles=(0.9,)).quantiles == (0.9,)
+        # a classic model is single-level whatever quantiles says
+        classic = tiny_config(tmp_path, quantile=False, quantiles=(0.1, 0.9))
+        assert classic.quantiles == (0.5,)
+
     def test_unset_hidden_sizes_take_family_defaults(self, tmp_path):
         config = tiny_config(tmp_path, family="lstm", hidden2=7)
         assert (config.hidden1, config.hidden2) == (50, 7)
@@ -151,6 +177,15 @@ class TestRunExperiment:
         run_experiment(config)
         reports = load_run_reports(tmp_path / "runs")
         assert [r.seed for r in reports] == [10, 11]
+
+    @pytest.mark.parametrize("text", ['{"seed": 0, "quan', '{"seed": 0}',
+                                      '[0]'])
+    def test_bad_run_file_names_the_file(self, tmp_path, text):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run_0.json").write_text(text)
+        with pytest.raises(SchemaError, match="run_0.json: not a run report"):
+            load_run_reports(runs)
 
     def test_reaggregation_matches_fresh_aggregate(self, tmp_path):
         config = tiny_config(tmp_path)

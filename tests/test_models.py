@@ -89,7 +89,7 @@ class TestLstmCell:
         params = {
             "w_x": tensor_new([2, 4 * hidden], "glorot", rng=rng),
             "w_h": tensor_new([hidden, 4 * hidden], "glorot", rng=rng),
-            "b": tensor_new([4 * hidden], "normal", rng=rng),
+            "b": Tensor(rng.standard_normal((4 * hidden,))),
         }
         x = np.array([[1.0, -1.0]])
         h_prev = rng.standard_normal((1, hidden))

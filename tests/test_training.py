@@ -4,9 +4,11 @@ checkpoint/resume fidelity."""
 import numpy as np
 import pytest
 
-from quantforecast.engine import SeededRng, Tensor
+from quantforecast import training
+from quantforecast.datapipe import WindowedDataset
+from quantforecast.engine import OP_TABLE, SeededRng, Tensor
 from quantforecast.errors import ConfigError, NumericalError, TrainingDiverged
-from quantforecast.models import ModelSpec, build_model, forward_pass
+from quantforecast.models import FAMILIES, ModelSpec, build_model, forward_pass
 from quantforecast.training import (AdamState, TrainConfig, adam_step,
                                     load_train_checkpoint,
                                     save_train_checkpoint, train)
@@ -64,7 +66,6 @@ class TestAdamStep:
 
 def linear_dataset(n=64, seed=0):
     """Windows drawn from y = W x + b exactly (no noise)."""
-    from quantforecast.datapipe import WindowedDataset
     rng = np.random.default_rng(seed)
     d, m = 3, 2
     inputs = rng.uniform(0.0, 1.0, size=(n, d, 1))
@@ -164,6 +165,45 @@ class TestTrainLoop:
         assert np.all(np.isfinite(result.epoch_losses))
 
 
+class TestRecordedOps:
+    def test_training_steps_record_exactly_the_op_table(self, monkeypatch):
+        # Every op kind is recorded by some family's training step, under
+        # one loss or the other, and no step records a kind outside it.
+        recorded = set()
+        real_backward = training.backward
+
+        def recording_backward(loss, params=None):
+            stack, seen = [loss], set()
+            while stack:
+                node = stack.pop()
+                if node.node_id not in seen:
+                    seen.add(node.node_id)
+                    recorded.add(node.op)
+                    stack.extend(node.parents)
+            return real_backward(loss, params)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        rng = np.random.default_rng(0)
+        for f in (1, 3):
+            dataset = WindowedDataset(
+                name="toy", inputs=rng.uniform(size=(4, 4, f)),
+                targets=rng.uniform(size=(4, 2)), window=4, horizons=2,
+                feature_names=[f"x{j}" for j in range(f)], target_index=0,
+                series_min=np.zeros(f), series_max=np.ones(f),
+                normalized=True, train_idx=np.arange(4),
+                test_idx=np.arange(0), split_seed=0)
+            for family in FAMILIES:
+                for loss, qs in (("quantile", (0.25, 0.5, 0.75)),
+                                 ("mse", (0.5,))):
+                    spec = ModelSpec(family=family, features=f, window=4,
+                                     horizons=2, hidden1=3, hidden2=3,
+                                     quantiles=qs)
+                    train(build_model(spec, SeededRng(0)), dataset,
+                          TrainConfig(epochs=1, batch_size=4, loss=loss),
+                          SeededRng(1))
+        assert recorded - {"leaf"} == set(OP_TABLE)
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_trajectory(self, tmp_path):
         dataset = linear_dataset()
@@ -207,7 +247,6 @@ class TestQuantileSeparation:
     def test_noise_around_constant_orders_levels(self):
         # i.i.d. noise around a level: after convergence the learned 0.05
         # line sits below the median, which sits below the 0.95 line
-        from quantforecast.datapipe import WindowedDataset
         quantiles = (0.05, 0.5, 0.95)
         votes = 0
         for seed in (0, 1, 2):
