@@ -48,23 +48,18 @@ def _flatten_windows(inputs: np.ndarray) -> np.ndarray:
 def fit_ols(dataset) -> LinearModel:
     """Closed-form least squares per horizon on flattened training windows.
 
-    A rank-deficient normal matrix falls back to a tiny ridge (1e-8) with a
-    warning.
+    Solved by np.linalg.lstsq on the design itself, whose condition number
+    is the square root of the normal matrix's; a rank-deficient design
+    warns and gets the minimum-norm solution.
     """
     x = _flatten_windows(dataset.train_inputs)
     y = np.asarray(dataset.train_targets, dtype=np.float64)
     n, p = x.shape
     aug = np.hstack([x, np.ones((n, 1))])
-    gram = aug.T @ aug
-    rhs = aug.T @ y
-    try:
-        if np.linalg.matrix_rank(gram) < gram.shape[0]:
-            raise np.linalg.LinAlgError("rank deficient")
-        theta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        warnings.warn("singular normal matrix; applying ridge 1e-8",
-                      stacklevel=2)
-        theta = np.linalg.solve(gram + 1e-8 * np.eye(gram.shape[0]), rhs)
+    theta, _, rank, _ = np.linalg.lstsq(aug, y, rcond=None)
+    if rank < p + 1:
+        warnings.warn(f"rank-deficient design (rank {rank} of {p + 1}); "
+                      f"using the minimum-norm solution", stacklevel=2)
     m = y.shape[1]
     return LinearModel(coef=theta[:p].reshape(p, m, 1),
                        intercept=theta[p].reshape(m, 1),

@@ -9,8 +9,10 @@ Families and wiring (window d, features f, horizons m, levels K = |Q|):
             (width 2*h1, backward states reversed back to input time) ->
             LSTM(h2) -> dense head.
   edlstm    encoder LSTM(h1) summarises the window; its final state is
-            repeated m times and decoded by LSTM(h2); a shared per-step
-            head (h2, K) emits each horizon (time-distributed head).
+            the decoder LSTM(h2)'s input at each of m steps; a shared
+            per-step head (h2, K) emits each horizon (time-distributed
+            head), applied as one matmul to the (batch * m, h2) stack of
+            decoder states.
   convlstm  one valid conv over time, kernel 2, spanning all f features,
             64 filters + bias + relu -> sequence of length d-1 ->
             LSTM(h1) -> dense head.
@@ -29,13 +31,19 @@ gate blocks ordered [input, forget, cell, output] along the fused axis):
   head.b       matching head.w columns, zeros
 
 The head is linear (no output activation). forward_pass is the one entry
-point; it emits predictions as (batch, m, K). Every LSTM stage runs through
-_lstm over a list of per-step (batch, n) inputs.
+point; it emits predictions as (batch, m, K).
+
+Every LSTM stage runs through _lstm over its per-step input projections
+x_t @ w_x, each (batch, 4h), from zero states. The first step skips the
+work whose result is known, h @ w_h and the forget gate, so its cell state
+is input * tanh-candidate. The edlstm decoder's input is the same context
+at every step, so its projection is computed once and passed m times.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,32 +185,6 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
     return Model(spec, params)
 
 
-def lstm_cell_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
-                   params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update.
-
-    params holds w_x (n, 4h), w_h (h, 4h) and b (4h,) with gate blocks
-    [input, forget, cell, output]. Returns (h_t, c_t) where
-    c_t = forget * c_prev + input * tanh-candidate and
-    h_t = output * tanh(c_t).
-    """
-    w_x, w_h, b = params["w_x"], params["w_h"], params["b"]
-    hidden = w_h.shape[0]
-    if x_t.ndim != 2 or x_t.shape[1] != w_x.shape[0]:
-        raise ShapeError("lstm-cell", x_t.shape, w_x.shape)
-    if h_prev.shape != (x_t.shape[0], hidden) or c_prev.shape != h_prev.shape:
-        raise ShapeError("lstm-cell", h_prev.shape, c_prev.shape)
-
-    z = add(add(matmul(x_t, w_x), matmul(h_prev, w_h)), b)
-    i = sigmoid(slice_axis(z, 1, 0, hidden))
-    fg = sigmoid(slice_axis(z, 1, hidden, 2 * hidden))
-    g = tanh(slice_axis(z, 1, 2 * hidden, 3 * hidden))
-    o = sigmoid(slice_axis(z, 1, 3 * hidden, 4 * hidden))
-    c_t = add(hadamard(fg, c_prev), hadamard(i, g))
-    h_t = hadamard(o, tanh(c_t))
-    return h_t, c_t
-
-
 def _steps(x: Tensor) -> list[Tensor]:
     """(batch, time, features) -> list of (batch, features) step tensors."""
     batch, steps, feats = x.shape
@@ -210,17 +192,37 @@ def _steps(x: Tensor) -> list[Tensor]:
             for t in range(steps)]
 
 
-def _lstm(steps: list[Tensor], params: dict[str, Tensor],
+def _project(steps: list[Tensor], params: dict[str, Tensor],
+             prefix: str) -> Iterator[Tensor]:
+    """The input projections x_t @ w_x of the LSTM stage named prefix, each
+    made when the recurrence reaches its step: a prediction through frozen
+    weights then holds one (batch, 4h) projection at a time, not T."""
+    w_x = params[f"{prefix}.w_x"]
+    return (matmul(x_t, w_x) for x_t in steps)
+
+
+def _lstm(projections: Iterable[Tensor], params: dict[str, Tensor],
           prefix: str) -> list[Tensor]:
-    """Run the LSTM stage named prefix over a list of (batch, n) step
-    inputs from zero states; returns the (batch, h) state of every step."""
-    stage = {"w_x": params[f"{prefix}.w_x"], "w_h": params[f"{prefix}.w_h"],
-             "b": params[f"{prefix}.b"]}
-    shape = [steps[0].shape[0], stage["w_h"].shape[0]]
-    h, c = tensor_new(shape, "zeros"), tensor_new(shape, "zeros")
+    """Run the LSTM stage named prefix from zero states over its per-step
+    input projections x_t @ w_x, each (batch, 4h); returns the (batch, h)
+    state of every step. Step 0 has h = c = 0, so there z = x_0 w_x + b
+    and c_0 = input * tanh-candidate, with no h @ w_h and no forget gate.
+    """
+    w_h, b = params[f"{prefix}.w_h"], params[f"{prefix}.b"]
+    hidden = w_h.shape[0]
+    h = c = None
     outputs = []
-    for x_t in steps:
-        h, c = lstm_cell_step(x_t, h, c, stage)
+    for xw in projections:
+        z = add(xw, b) if h is None else add(add(xw, matmul(h, w_h)), b)
+        i = sigmoid(slice_axis(z, 1, 0, hidden))
+        g = tanh(slice_axis(z, 1, 2 * hidden, 3 * hidden))
+        o = sigmoid(slice_axis(z, 1, 3 * hidden, 4 * hidden))
+        if c is None:
+            c = hadamard(i, g)
+        else:
+            fg = sigmoid(slice_axis(z, 1, hidden, 2 * hidden))
+            c = add(hadamard(fg, c), hadamard(i, g))
+        h = hadamard(o, tanh(c))
         outputs.append(h)
     return outputs
 
@@ -237,8 +239,9 @@ def bidirectional_sequence(model: Model, x: Tensor) -> list[Tensor]:
     if model.spec.family != "bdlstm":
         raise ConfigError("bidirectional sequence only defined for bdlstm")
     steps = _steps(x)
-    fwd = _lstm(steps, model.params, "fwd")
-    bwd = _lstm(steps[::-1], model.params, "bwd")[::-1]
+    fwd = _lstm(_project(steps, model.params, "fwd"), model.params, "fwd")
+    bwd = _lstm(_project(steps[::-1], model.params, "bwd"), model.params,
+                "bwd")[::-1]
     return [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
 
 
@@ -259,25 +262,32 @@ def forward_pass(model: Model, window_batch) -> Tensor:
     try:
         if spec.family == "lstm":
             stage = "lstm1"
-            seq = _lstm(_steps(x), params, "lstm1")
+            seq = _lstm(_project(_steps(x), params, "lstm1"), params, "lstm1")
             stage = "lstm2"
-            seq2 = _lstm(seq, params, "lstm2")
+            seq2 = _lstm(_project(seq, params, "lstm2"), params, "lstm2")
             stage = "head"
             out = _dense(seq2[-1], params)
         elif spec.family == "bdlstm":
             stage = "bidirectional"
             merged = bidirectional_sequence(model, x)
             stage = "lstm2"
-            seq2 = _lstm(merged, params, "lstm2")
+            seq2 = _lstm(_project(merged, params, "lstm2"), params, "lstm2")
             stage = "head"
             out = _dense(seq2[-1], params)
         elif spec.family == "edlstm":
             stage = "encoder"
-            context = _lstm(_steps(x), params, "enc")[-1]
+            context = _lstm(_project(_steps(x), params, "enc"), params,
+                            "enc")[-1]
             stage = "decoder"
-            dec = _lstm([context] * m, params, "dec")
+            # The decoder reads the same context at every step, so its
+            # input projection is computed once.
+            dec = _lstm([matmul(context, params["dec.w_x"])] * m, params,
+                        "dec")
             stage = "head"
-            out = concat([_dense(h, params) for h in dec], axis=1)
+            # Time-distributed head: one matmul over the (batch * m, h2)
+            # rows, which the final reshape returns to (batch, m, K).
+            out = _dense(reshape(concat(dec, axis=1),
+                                 (batch * m, spec.hidden2)), params)
         elif spec.family == "convlstm":
             stage = "conv"
             w = params["conv.w"]
@@ -286,7 +296,8 @@ def forward_pass(model: Model, window_batch) -> Tensor:
                                 spec.conv_filters))
             conv = relu(add(conv1d(x, w), params["conv.b"]))
             stage = "lstm1"
-            seq = _lstm(_steps(conv), params, "lstm1")
+            seq = _lstm(_project(_steps(conv), params, "lstm1"), params,
+                        "lstm1")
             stage = "head"
             out = _dense(seq[-1], params)
         elif spec.family == "linear":

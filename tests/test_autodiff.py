@@ -150,7 +150,7 @@ class TestGradCheckHarness:
         assert report.max_rel_err < 1e-9
 
     def test_single_lstm_cell(self):
-        from quantforecast.models import lstm_cell_step
+        from lstm_oracle import lstm_cell_step
         rng = SeededRng(1)
         hidden = 4
         params = {

@@ -1,6 +1,8 @@
 """Closed-form least squares and the pinball gradient-descent fit against
 empirical-quantile oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,12 +72,33 @@ class TestFitOls:
         residuals = targets - predict(model, inputs)[:, :, 0]
         assert np.max(np.abs(x.T @ residuals)) < 1e-8
 
+    def test_ill_conditioned_full_rank_design_matches_lstsq(self, rng):
+        # Two window steps differ by 1e-9: the design has full rank
+        # (condition about 1e9) but its normal matrix is numerically
+        # singular (condition about 1e18).
+        n = 200
+        base = rng.normal(size=n)
+        inputs = np.stack([base, base + 1e-9 * rng.normal(size=n),
+                           rng.normal(size=n)], axis=1)[:, :, None]
+        targets = (inputs[:, :, 0] @ np.array([[1.0, -2.0], [1.0, 0.5],
+                                               [0.3, 0.0]])
+                   + 0.01 * rng.normal(size=(n, 2)))
+        aug = np.hstack([inputs[:, :, 0], np.ones((n, 1))])
+        assert np.linalg.matrix_rank(aug) == 4
+        assert np.linalg.matrix_rank(aug.T @ aug) < 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_ols(dataset_from_arrays(inputs, targets))
+        theta = np.linalg.lstsq(aug, targets, rcond=None)[0]
+        got = np.vstack([model.coef[:, :, 0], model.intercept[:, 0][None]])
+        assert np.allclose(got, theta, rtol=1e-12, atol=0)
+
     def test_singular_without_fallback(self, rng):
         inputs = np.repeat(rng.normal(size=(30, 1, 1)), 3, axis=1)  # rank 1
         targets = rng.normal(size=(30, 1))
         ds = dataset_from_arrays(inputs, targets)
         with pytest.warns(UserWarning):
-            model = fit_ols(ds)  # the ridge fallback fits the singular system
+            model = fit_ols(ds)  # minimum-norm solution of the singular system
         assert np.all(np.isfinite(model.coef))
 
 

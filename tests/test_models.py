@@ -12,8 +12,10 @@ from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
 from quantforecast.models import (FAMILIES, ModelSpec,
                                   bidirectional_sequence, build_model,
-                                  forward_pass, load_model, lstm_cell_step,
-                                  model_from_dict, model_to_dict, save_model)
+                                  forward_pass, load_model, model_from_dict,
+                                  model_to_dict, save_model)
+
+from lstm_oracle import lstm_cell_step
 
 
 def reference_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
@@ -100,17 +102,6 @@ class TestLstmCell:
             params["b"].data)
         assert np.allclose(h.data, h_ref, atol=1e-12)
         assert np.allclose(c.data, c_ref, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        params = {
-            "w_x": tensor_new([2, 8], "zeros"),
-            "w_h": tensor_new([2, 8], "zeros"),
-            "b": tensor_new([8], "zeros"),
-        }
-        with pytest.raises(ShapeError):
-            lstm_cell_step(Tensor([[1.0, 2.0, 3.0]]),
-                           tensor_new([1, 2], "zeros"),
-                           tensor_new([1, 2], "zeros"), params)
 
 
 class TestSpecValidation:
@@ -303,6 +294,34 @@ class TestForwardOracles:
                    model.params["head.b"]).data.reshape(5, 2, 3)
         pred = forward_pass(model, window).data
         assert pred.tobytes() == head.tobytes()
+
+    def test_lstm_equals_explicit_cell_loops(self, rng):
+        spec = toy_spec("lstm", f=2, quantiles=(0.25, 0.5, 0.75))
+        model = build_model(spec, SeededRng(14))
+        window = rng.normal(size=(5, 4, 2))
+        steps = [Tensor(window[:, t, :]) for t in range(4)]
+        seq = oracle_lstm(steps, model.params, "lstm1")
+        last = oracle_lstm(seq, model.params, "lstm2")[-1]
+        expected = add(matmul(last, model.params["head.w"]),
+                       model.params["head.b"]).data.reshape(5, 2, 3)
+        pred = forward_pass(model, window).data
+        assert np.allclose(pred, expected, rtol=0, atol=1e-12)
+
+    def test_edlstm_equals_explicit_cell_loops(self, rng):
+        # The oracle feeds the context to the decoder m times and applies
+        # the head step by step; the model projects the context once and
+        # applies the head to all m steps in one matmul.
+        spec = toy_spec("edlstm", f=2, horizons=3, quantiles=(0.25, 0.5, 0.75))
+        model = build_model(spec, SeededRng(15))
+        window = rng.normal(size=(5, 4, 2))
+        steps = [Tensor(window[:, t, :]) for t in range(4)]
+        context = oracle_lstm(steps, model.params, "enc")[-1]
+        dec = oracle_lstm([context] * 3, model.params, "dec")
+        heads = [add(matmul(h, model.params["head.w"]), model.params["head.b"])
+                 for h in dec]
+        expected = concat(heads, axis=1).data.reshape(5, 3, 3)
+        pred = forward_pass(model, window).data
+        assert np.allclose(pred, expected, rtol=0, atol=1e-12)
 
     def test_multivariate_convlstm_matches_numpy_oracle(self, rng):
         spec = toy_spec("convlstm", f=3, conv_filters=4)

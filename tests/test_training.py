@@ -1,6 +1,8 @@
 """Adam against closed-form single-step values; training determinism and
 checkpoint/resume fidelity."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,56 @@ class TestRecordedOps:
                           TrainConfig(epochs=1, batch_size=4, loss=loss),
                           SeededRng(1))
         assert recorded - {"leaf"} == set(OP_TABLE)
+
+    def test_recurrences_skip_known_work(self, monkeypatch):
+        # Matmuls recorded by one training step, by the parameter they
+        # multiply. Every stage starts from zero states, so its first step
+        # has no h @ w_h product; the edlstm decoder reads the same context
+        # at every step and projects it once; its head is one matmul.
+        tapes = []
+        real_backward = training.backward
+
+        def recording_backward(loss, params=None):
+            counts, stack, seen = Counter(), [loss], set()
+            while stack:
+                node = stack.pop()
+                if node.node_id not in seen:
+                    seen.add(node.node_id)
+                    if node.op == "matmul":
+                        counts.update(p.name for p in node.parents if p.name)
+                    stack.extend(node.parents)
+            tapes.append(counts)
+            return real_backward(loss, params)
+
+        monkeypatch.setattr(training, "backward", recording_backward)
+        d, m = 4, 3
+        rng = np.random.default_rng(0)
+        dataset = WindowedDataset(
+            name="toy", inputs=rng.uniform(size=(4, d, 1)),
+            targets=rng.uniform(size=(4, m)), window=d,
+            horizons=m, feature_names=["x"], target_index=0,
+            series_min=np.zeros(1), series_max=np.ones(1), normalized=True,
+            train_idx=np.arange(4), test_idx=np.arange(0), split_seed=0)
+        stage_steps = {
+            "lstm": {"lstm1": d, "lstm2": d},
+            "bdlstm": {"fwd": d, "bwd": d, "lstm2": d},
+            "edlstm": {"enc": d, "dec": m},
+            "convlstm": {"lstm1": d - 1},
+        }
+        matmuls = {}
+        for family, stages in stage_steps.items():
+            spec = ModelSpec(family=family, features=1, window=d, horizons=m,
+                             hidden1=3, hidden2=3, quantiles=(0.25, 0.5, 0.75))
+            tapes.clear()
+            train(build_model(spec, SeededRng(0)), dataset,
+                  TrainConfig(epochs=1, batch_size=4), SeededRng(1))
+            assert len(tapes) == 1
+            matmuls[family] = tapes[0]
+            for stage, steps in stages.items():
+                assert tapes[0][f"{stage}.w_h"] == steps - 1, (family, stage)
+        assert matmuls["edlstm"] == {"enc.w_x": d, "enc.w_h": d - 1,
+                                     "dec.w_x": 1, "dec.w_h": m - 1,
+                                     "head.w": 1}
 
 
 class TestCheckpointResume:
