@@ -108,8 +108,7 @@ def gen_mackey_glass(params: MackeyGlassParams, seed: int) -> RawSeries:
         k3 = deriv(xs[t] + 0.5 * dt * k2, delayed)
         k4 = deriv(xs[t] + dt * k3, delayed)
         xs[t + 1] = xs[t] + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return RawSeries(name="mackey-glass", columns=["value"], values=xs,
-                     index=[str(i) for i in range(params.steps)])
+    return RawSeries(name="mackey-glass", columns=["value"], values=xs)
 
 
 def gen_lorenz(params: LorenzParams, seed: int) -> tuple[RawSeries, RawSeries]:
@@ -136,12 +135,10 @@ def gen_lorenz(params: LorenzParams, seed: int) -> tuple[RawSeries, RawSeries]:
         k4 = deriv(u + dt * k3)
         out[t + 1] = u + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
-    index = [str(i) for i in range(params.steps)]
-    full = RawSeries(name="lorenz", columns=["x", "y", "z"], values=out,
-                     index=index)
+    full = RawSeries(name="lorenz", columns=["x", "y", "z"], values=out)
     col = ("x", "y", "z").index(params.component)
     uni = RawSeries(name=f"lorenz-{params.component}", columns=["value"],
-                    values=out[:, col], index=index)
+                    values=out[:, col])
     return uni, full
 
 
@@ -238,7 +235,9 @@ class WindowedDataset:
     inputs[i] covers series rows i .. i+d-1 over all features; targets[i]
     covers rows i+d .. i+d+m-1 of the target column. Normalisation is
     per-feature min-max fitted on the whole raw series; the split is a
-    seeded shuffle of window indices, train share 0.8.
+    seeded shuffle of window indices, train share 0.8. normalize_and_split
+    scales and splits in one step, so a dataset with train_idx set holds
+    scaled arrays, and series_min and series_max invert the scaling.
     """
     name: str
     inputs: np.ndarray   # (N, d, f)
@@ -249,9 +248,6 @@ class WindowedDataset:
     target_index: int
     series_min: np.ndarray
     series_max: np.ndarray
-    normalized: bool = False
-    feature_min: np.ndarray | None = None
-    feature_max: np.ndarray | None = None
     train_idx: np.ndarray | None = None
     test_idx: np.ndarray | None = None
     split_seed: int | None = None
@@ -290,10 +286,10 @@ class WindowedDataset:
 
     def denormalize_targets(self, arr: np.ndarray) -> np.ndarray:
         """Inverse of the target-column min-max map."""
-        if not self.normalized:
+        if self.train_idx is None:
             return np.asarray(arr, dtype=np.float64)
-        lo = self.feature_min[self.target_index]
-        hi = self.feature_max[self.target_index]
+        lo = self.series_min[self.target_index]
+        hi = self.series_max[self.target_index]
         return np.asarray(arr, dtype=np.float64) * (hi - lo) + lo
 
 
@@ -336,7 +332,7 @@ def normalize_and_split(dataset: WindowedDataset, seed: int,
     Scaling is fitted on the whole raw series (pipeline order: normalise,
     then split). Finalized arrays are read-only.
     """
-    if dataset.normalized:
+    if dataset.train_idx is not None:
         raise ConfigError("dataset already normalized")
     n = dataset.count
     rng = SeededRng(seed)
@@ -345,8 +341,7 @@ def normalize_and_split(dataset: WindowedDataset, seed: int,
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(order[n_train:])
 
-    lo = dataset.series_min.copy()
-    hi = dataset.series_max.copy()
+    lo, hi = dataset.series_min, dataset.series_max
     span = hi - lo
     for j, name in enumerate(dataset.feature_names):
         if span[j] == 0.0:
@@ -364,7 +359,6 @@ def normalize_and_split(dataset: WindowedDataset, seed: int,
         feature_names=list(dataset.feature_names),
         target_index=dataset.target_index,
         series_min=dataset.series_min, series_max=dataset.series_max,
-        normalized=True, feature_min=lo, feature_max=hi,
         train_idx=train_idx, test_idx=test_idx, split_seed=int(seed))
 
 

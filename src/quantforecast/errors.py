@@ -49,10 +49,6 @@ class MissingMedian(ForecastError):
     """The 0.5 quantile is required but absent from the quantile set."""
 
 
-class MissingQuantile(ForecastError):
-    """A requested quantile level is absent from the quantile set."""
-
-
 class TrainingDiverged(ForecastError):
     """Loss became non-finite; carries the last finite parameter snapshot."""
 

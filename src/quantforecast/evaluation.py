@@ -8,73 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyEval, MissingMedian, MissingQuantile, ShapeError
+from .errors import ConfigError, EmptyEval, MissingMedian, ShapeError
 from .losses import check_quantiles
 
 # Normal 97.5% point: half-width = 1.96 * sample std / sqrt(R).
 _Z_95 = 1.96
-
-
-def rmse(targets: np.ndarray, predictions: np.ndarray) -> tuple[float, np.ndarray]:
-    """Root mean squared error per horizon plus the mean over horizons.
-
-    Inputs are (n, m) aligned arrays; (n,) vectors are treated as one
-    horizon.
-    """
-    y = np.asarray(targets, dtype=np.float64)
-    y_hat = np.asarray(predictions, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise ShapeError("rmse", y.shape, y_hat.shape)
-    if y.size == 0:
-        raise EmptyEval("rmse over an empty array")
-    if y.ndim == 1:
-        y = y[:, None]
-        y_hat = y_hat[:, None]
-    per_horizon = np.sqrt(np.mean((y - y_hat) ** 2, axis=0))
-    return float(per_horizon.mean()), per_horizon
-
-
-def quantile_rmse(targets: np.ndarray, predictions: np.ndarray,
-                  quantiles) -> np.ndarray:
-    """Mean-over-horizons RMSE of each quantile slice against the same
-    targets; requires the median level to be present."""
-    qs = check_quantiles(quantiles)
-    if 0.5 not in qs:
-        raise MissingMedian(f"0.5 not in quantile set {qs}")
-    y = np.asarray(targets, dtype=np.float64)
-    p = np.asarray(predictions, dtype=np.float64)
-    if p.ndim != 3 or y.shape != p.shape[:2] or p.shape[2] != len(qs):
-        raise ShapeError("quantile-rmse", y.shape, p.shape)
-    return np.array([rmse(y, p[:, :, j])[0] for j in range(len(qs))])
-
-
-def coverage(targets: np.ndarray, predictions: np.ndarray, q_lo: float,
-             q_hi: float, quantiles) -> float:
-    """Fraction of target cells inside the [q_lo, q_hi] prediction band."""
-    qs = check_quantiles(quantiles)
-    if not q_lo < q_hi:
-        raise ConfigError(f"need q_lo < q_hi, got {q_lo} >= {q_hi}")
-    for q in (q_lo, q_hi):
-        if q not in qs:
-            raise MissingQuantile(f"quantile {q} not in set {qs}")
-    y = np.asarray(targets, dtype=np.float64)
-    p = np.asarray(predictions, dtype=np.float64)
-    if y.size == 0:
-        raise EmptyEval("coverage over an empty array")
-    lo = p[:, :, qs.index(q_lo)]
-    hi = p[:, :, qs.index(q_hi)]
-    return float(np.mean((y >= lo) & (y <= hi)))
-
-
-def crossing_rate(predictions: np.ndarray, quantiles) -> float:
-    """Fraction of (window, horizon) cells where any lower-quantile
-    prediction exceeds the next higher one."""
-    qs = check_quantiles(quantiles)
-    if len(qs) < 2:
-        raise ConfigError("crossing rate needs at least two quantile levels")
-    p = np.asarray(predictions, dtype=np.float64)
-    crossed = p[:, :, :-1] > p[:, :, 1:]
-    return float(np.mean(np.any(crossed, axis=2)))
 
 
 @dataclass
@@ -83,6 +21,8 @@ class RunReport:
 
     mean_rmse is the mean over horizons of the median-quantile per-horizon
     RMSE; for single-level (classic) models the only level is the median.
+    coverage_05_95 is taken between the lowest and the highest level, and
+    it and crossing are None for a single level.
     """
     seed: int
     quantiles: tuple[float, ...]
@@ -117,26 +57,35 @@ class RunReport:
 
 def make_run_report(seed: int, targets: np.ndarray, predictions: np.ndarray,
                     quantiles, wall_seconds: float) -> RunReport:
-    """Evaluate one run's (batch, m, K) test predictions."""
+    """Score one run's (n, m, K) test predictions against its (n, m)
+    targets: per level, the RMSE of each horizon over the n windows; the
+    median level's per-horizon RMSE and its mean; and, for K > 1, the share
+    of cells inside the outer band and the share of (window, horizon) cells
+    where a level's prediction exceeds the next level's."""
     qs = check_quantiles(quantiles)
+    y = np.asarray(targets, dtype=np.float64)
     p = np.asarray(predictions, dtype=np.float64)
-    if 0.5 in qs:
-        median_idx = qs.index(0.5)
-    elif len(qs) == 1:
-        median_idx = 0
-    else:
+    if p.ndim != 3 or y.shape != p.shape[:2] or p.shape[2] != len(qs):
+        raise ShapeError("run-report", y.shape, p.shape)
+    if y.size == 0:
+        raise EmptyEval("run report over an empty test set")
+    if len(qs) > 1 and 0.5 not in qs:
         raise MissingMedian(f"0.5 not in quantile set {qs}")
-    mean_rmse, per_horizon = rmse(targets, p[:, :, median_idx])
+    median = qs.index(0.5) if 0.5 in qs else 0
+    # One (n, m) reduction per level: reducing a broadcast (n, m, K) error
+    # array over windows sums in another order when m = 1, and the scores
+    # then differ in the last bit.
+    per_level = [np.sqrt(np.mean((y - p[:, :, j]) ** 2, axis=0))
+                 for j in range(len(qs))]
+    per_quantile = np.array([float(r.mean()) for r in per_level])
+    cov = crossing = None
     if len(qs) > 1:
-        per_quantile = quantile_rmse(targets, p, qs)
-        cov = coverage(targets, p, qs[0], qs[-1], qs)
-        crossing = crossing_rate(p, qs)
-    else:
-        per_quantile = np.array([mean_rmse])
-        cov = None
-        crossing = None
-    return RunReport(seed=seed, quantiles=qs, per_horizon_rmse=per_horizon,
-                     per_quantile_rmse=per_quantile, mean_rmse=mean_rmse,
+        cov = float(np.mean((y >= p[:, :, 0]) & (y <= p[:, :, -1])))
+        crossing = float(np.mean(np.any(p[:, :, :-1] > p[:, :, 1:], axis=2)))
+    return RunReport(seed=seed, quantiles=qs,
+                     per_horizon_rmse=per_level[median],
+                     per_quantile_rmse=per_quantile,
+                     mean_rmse=float(per_quantile[median]),
                      wall_seconds=wall_seconds, coverage_05_95=cov,
                      crossing=crossing)
 
@@ -156,7 +105,6 @@ class AggregateReport:
     mean_rmse: AggregateCell
     per_horizon: list[AggregateCell]
     per_quantile: list[AggregateCell]
-    config_hash: str = ""
     failures: list[dict] = field(default_factory=list)
 
 
@@ -171,7 +119,6 @@ def _cell(samples: np.ndarray) -> AggregateCell:
 
 
 def aggregate_runs(reports: list[RunReport], runs_requested: int | None = None,
-                   config_hash: str = "",
                    failures: list[dict] | None = None) -> AggregateReport:
     """Reduce run reports to per-cell mean and half-width. A single run
     yields zero half-widths (warned, since no spread is estimable)."""
@@ -195,5 +142,4 @@ def aggregate_runs(reports: list[RunReport], runs_requested: int | None = None,
     return AggregateReport(
         runs_requested=runs_requested, runs_completed=len(reports),
         quantiles=qs, mean_rmse=mean_cell, per_horizon=horizon_cells,
-        per_quantile=quantile_cells, config_hash=config_hash,
-        failures=failures or [])
+        per_quantile=quantile_cells, failures=failures or [])

@@ -21,7 +21,6 @@ weight initialisation (child 1), and the batch shuffling (child 2).
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import time
@@ -165,15 +164,6 @@ class ExperimentConfig:
         check_known_fields(cls, d, "experiment config")
         return cls(**d)
 
-    def scientific_hash(self) -> str:
-        """Hash of the fields that define the experiment (not where its
-        artifacts land or how many workers ran it)."""
-        d = self.to_dict()
-        d.pop("output_dir", None)
-        d.pop("workers", None)
-        canonical = json.dumps(d, sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
 
 # Resolved once: resolving the annotation strings costs about 0.5 ms.
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
@@ -246,7 +236,7 @@ def _generator_params(config: ExperimentConfig):
 def _sniff_schema(path) -> str:
     """Pick the CSV schema for a generic file from its header row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = {h.strip().lower() for h in fh.readline().split(",")}
+        header = {h.strip().lower() for h in next(csv.reader(fh), [])}
     return "market" if {"high", "low", "open", "close",
                         "volume"} <= header else "univariate"
 
@@ -303,19 +293,18 @@ def run_single(config: ExperimentConfig, series: RawSeries,
     return report, targets, predictions
 
 
-def _pool_entry(args) -> tuple[int, dict | None, str | None]:
+def _pool_entry(args) -> tuple[int, RunReport | None, str | None]:
     """One seeded run with its files written, in this process or a worker.
-    Returns (seed, report dict, None), or (seed, None, error text) for a
-    failed run."""
+    Returns (seed, report, None), or (seed, None, error text) for a failed
+    run."""
     config, series, seed = args
     out_dir = Path(config.output_dir)
     try:
         report, targets, predictions = run_single(config, series, seed)
-        payload = report.to_dict()
-        _write_json(out_dir / "runs" / f"run_{seed}.json", payload)
+        _write_json(out_dir / "runs" / f"run_{seed}.json", report.to_dict())
         _write_trace(out_dir / "traces" / f"trace_{seed}.csv", config,
                      targets, predictions)
-        return seed, payload, None
+        return seed, report, None
     except Exception as exc:  # recorded, campaign continues
         return seed, None, f"{type(exc).__name__}: {exc}"
 
@@ -339,9 +328,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             results = list(pool.map(_pool_entry, jobs))
     else:
         results = map(_pool_entry, jobs)
-    for seed, rep, err in results:
+    for seed, report, err in results:
         if err is None:
-            reports.append(RunReport.from_dict(rep))
+            reports.append(report)
         else:
             failures.append({"seed": seed, "error": err})
 
@@ -351,7 +340,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         raise EmptyEval(f"all {config.runs} runs failed; see failures.json")
     reports.sort(key=lambda r: r.seed)
     aggregate = aggregate_runs(reports, runs_requested=config.runs,
-                               config_hash=config.scientific_hash(),
                                failures=failures)
     emit_report(aggregate, "csv", out_dir, label=_label(config))
     return aggregate
@@ -420,17 +408,6 @@ def _write_aggregate_csv(path: Path, agg: AggregateReport, label: dict) -> Path:
             writer.writerow(base + ["quantile_rmse", _fmt(q),
                                     _fmt(cell.mean), _fmt(cell.half_width)])
     return path
-
-
-def parse_aggregate_csv(path) -> dict:
-    """Parse an aggregate.csv back into {metric: {key: (mean, half_width)}}."""
-    out: dict = {"mean_rmse": {}, "horizon_rmse": {}, "quantile_rmse": {}}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out[row["metric"]][row["step_or_quantile"]] = (
-                float(row["mean"]), float(row["ci_half_width"]))
-    return out
 
 
 def _write_wide_table(path: Path, agg: AggregateReport) -> Path:

@@ -209,22 +209,31 @@ def _lstm(projections: Iterable[Tensor], params: dict[str, Tensor],
     and c_0 = input * tanh-candidate, with no h @ w_h and no forget gate.
     """
     w_h, b = params[f"{prefix}.w_h"], params[f"{prefix}.b"]
-    hidden = w_h.shape[0]
     h = c = None
     outputs = []
     for xw in projections:
-        z = add(xw, b) if h is None else add(add(xw, matmul(h, w_h)), b)
-        i = sigmoid(slice_axis(z, 1, 0, hidden))
-        g = tanh(slice_axis(z, 1, 2 * hidden, 3 * hidden))
-        o = sigmoid(slice_axis(z, 1, 3 * hidden, 4 * hidden))
-        if c is None:
-            c = hadamard(i, g)
-        else:
-            fg = sigmoid(slice_axis(z, 1, hidden, 2 * hidden))
-            c = add(hadamard(fg, c), hadamard(i, g))
-        h = hadamard(o, tanh(c))
+        h, c = _cell(xw, h, c, w_h, b)
         outputs.append(h)
     return outputs
+
+
+def _cell(xw: Tensor, h: Tensor | None, c: Tensor | None, w_h: Tensor,
+          b: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step from input projection xw and states h, c (None at step
+    0); returns the new (h, c). The pre-activation and gates are locals, so
+    a prediction through frozen weights frees them when the step returns,
+    not when the next step rebinds them."""
+    hidden = w_h.shape[0]
+    z = add(xw, b) if h is None else add(add(xw, matmul(h, w_h)), b)
+    i = sigmoid(slice_axis(z, 1, 0, hidden))
+    g = tanh(slice_axis(z, 1, 2 * hidden, 3 * hidden))
+    o = sigmoid(slice_axis(z, 1, 3 * hidden, 4 * hidden))
+    if c is None:
+        c = hadamard(i, g)
+    else:
+        fg = sigmoid(slice_axis(z, 1, hidden, 2 * hidden))
+        c = add(hadamard(fg, c), hadamard(i, g))
+    return hadamard(o, tanh(c)), c
 
 
 def _dense(x: Tensor, params: dict[str, Tensor]) -> Tensor:

@@ -109,8 +109,7 @@ class TestCriterion3QuantileMinimizer:
             targets=sample[:, None], window=2, horizons=1,
             feature_names=["value"], target_index=0,
             series_min=np.array([0.0]), series_max=np.array([1.0]),
-            normalized=True, feature_min=np.array([0.0]),
-            feature_max=np.array([1.0]), train_idx=np.arange(n),
+            train_idx=np.arange(n),
             test_idx=np.arange(0), split_seed=0)
 
         worst = 0.0
@@ -264,8 +263,7 @@ class TestCriterion10BaselineSanity:
             name="sym", inputs=inputs, targets=targets, window=d, horizons=1,
             feature_names=["value"], target_index=0,
             series_min=np.array([-1.0]), series_max=np.array([1.0]),
-            normalized=True, feature_min=np.array([-1.0]),
-            feature_max=np.array([1.0]), train_idx=np.arange(n),
+            train_idx=np.arange(n),
             test_idx=np.arange(0), split_seed=0)
         ols = fit_ols(dataset)
         quant = fit_quantile_linear(dataset, (0.5,), iterations=8000,

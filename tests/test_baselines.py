@@ -19,9 +19,7 @@ def dataset_from_arrays(inputs, targets, train_share=1.0):
         window=inputs.shape[1], horizons=targets.shape[1],
         feature_names=[f"f{i}" for i in range(inputs.shape[2])],
         target_index=0, series_min=np.zeros(inputs.shape[2]),
-        series_max=np.ones(inputs.shape[2]), normalized=True,
-        feature_min=np.zeros(inputs.shape[2]),
-        feature_max=np.ones(inputs.shape[2]),
+        series_max=np.ones(inputs.shape[2]),
         train_idx=np.arange(split),
         test_idx=np.arange(split, n) if split < n else np.arange(0),
         split_seed=0)

@@ -96,6 +96,26 @@ class TestExperimentCommand:
         saved = json.loads((override / "config.json").read_text())
         assert saved["output_dir"] == str(override)
 
+    def test_quoted_market_csv_loads_five_features(self, tmp_path,
+                                                   monkeypatch,
+                                                   quoted_market_csv):
+        import quantforecast.experiment as exp
+
+        widths = []
+        original = exp.build_series
+        def recorded(config):
+            series = original(config)
+            widths.append(series.values.shape[1])
+            return series
+
+        monkeypatch.setattr(exp, "build_series", recorded)
+        code = main(["experiment", "--dataset", "csv", "--strategy",
+                     "multivariate", "--csv-path", str(quoted_market_csv),
+                     "--family", "linear", "--no-quantile", "--runs", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert widths == [5]
+
     def test_missing_required_fields_exit_1(self, capsys):
         assert main(["experiment", "--runs", "1"]) == 1
         assert "config error" in capsys.readouterr().err

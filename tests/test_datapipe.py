@@ -155,6 +155,7 @@ class TestLoadCsv:
         write_series_csv(path, series)
         loaded = load_csv(path, "univariate")
         assert np.allclose(loaded.values, series.values, atol=0)
+        assert loaded.index == [str(i) for i in range(50)]
 
 
 class TestMakeWindows:
@@ -214,7 +215,7 @@ class TestNormalizeAndSplit:
         values = np.concatenate([[10.0, 15.0, 20.0], np.linspace(11, 19, 27)])
         series = RawSeries("s", ["value"], values)
         ds = normalize_and_split(make_windows(series, 4, 2), seed=0)
-        assert ds.feature_min[0] == 10.0 and ds.feature_max[0] == 20.0
+        assert ds.series_min[0] == 10.0 and ds.series_max[0] == 20.0
         assert ds.inputs[0, 1, 0] == 0.5  # raw 15 on range [10, 20]
         assert np.all(ds.inputs >= 0.0) and np.all(ds.inputs <= 1.0)
         assert np.all(ds.targets >= 0.0) and np.all(ds.targets <= 1.0)

@@ -1,13 +1,10 @@
-"""Metric values against loop oracles; aggregation statistics by hand."""
+"""Run scores against loop oracles; aggregation statistics by hand."""
 
 import numpy as np
 import pytest
 
-from quantforecast.errors import (ConfigError, EmptyEval, MissingQuantile,
-                                  ShapeError)
-from quantforecast.evaluation import (RunReport, aggregate_runs, coverage,
-                                      crossing_rate, make_run_report,
-                                      quantile_rmse, rmse)
+from quantforecast.errors import EmptyEval, MissingMedian, ShapeError
+from quantforecast.evaluation import RunReport, aggregate_runs, make_run_report
 from quantforecast.losses import DEFAULT_QUANTILES
 
 
@@ -21,54 +18,73 @@ def rmse_loops(y, y_hat):
     return sum(per_h) / len(per_h), per_h
 
 
+def score(y, p, quantiles):
+    return make_run_report(0, y, p, quantiles, wall_seconds=0.0)
+
+
 class TestRmse:
     def test_perfect_prediction(self, rng):
         y = rng.normal(size=(5, 3))
-        scalar, per_h = rmse(y, y.copy())
-        assert scalar == 0.0
-        assert np.all(per_h == 0.0)
+        report = score(y, y[:, :, None].copy(), (0.5,))
+        assert report.mean_rmse == 0.0
+        assert np.all(report.per_horizon_rmse == 0.0)
+        assert report.coverage_05_95 is None and report.crossing is None
 
     def test_unit_error(self):
-        scalar, _ = rmse(np.zeros((4, 1)), np.ones((4, 1)))
-        assert scalar == 1.0
+        report = score(np.zeros((4, 1)), np.ones((4, 1, 1)), (0.5,))
+        assert report.mean_rmse == 1.0
 
     def test_matches_loop_oracle(self, rng):
         y = rng.normal(size=(100, 4))
         y_hat = rng.normal(size=(100, 4))
-        scalar, per_h = rmse(y, y_hat)
+        report = score(y, y_hat[:, :, None], (0.5,))
         o_scalar, o_per_h = rmse_loops(y, y_hat)
-        assert scalar == pytest.approx(o_scalar, abs=1e-12)
-        assert np.allclose(per_h, o_per_h, atol=1e-12)
+        assert report.mean_rmse == pytest.approx(o_scalar, abs=1e-12)
+        assert np.allclose(report.per_horizon_rmse, o_per_h, atol=1e-12)
+        assert report.per_quantile_rmse.tolist() == [report.mean_rmse]
+
+    def test_single_horizon_is_byte_equal_to_one_dimensional_means(self, rng):
+        # A reduction over windows of the broadcast (n, 1, K) error array
+        # sums in another order than the mean of each level's n errors.
+        y = rng.normal(size=(2389, 1))
+        p = rng.normal(size=(2389, 1, 3))
+        report = score(y, p, (0.05, 0.5, 0.95))
+        want = [np.sqrt(np.mean((y[:, 0] - p[:, 0, j]) ** 2))
+                for j in range(3)]
+        assert report.per_quantile_rmse.tolist() == want
+        assert report.per_horizon_rmse.tolist() == [want[1]]
+        assert report.mean_rmse == want[1]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyEval):
-            rmse(np.zeros((0, 2)), np.zeros((0, 2)))
+            score(np.zeros((0, 2)), np.zeros((0, 2, 1)), (0.5,))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            rmse(np.zeros((3, 2)), np.zeros((3, 3)))
+        for targets, predictions in (((3, 2), (3, 3, 1)), ((3, 2), (3, 2)),
+                                     ((3, 2), (3, 2, 2)), ((4, 2), (3, 2, 1))):
+            with pytest.raises(ShapeError):
+                score(np.zeros(targets), np.zeros(predictions), (0.5,))
 
 
 class TestQuantileRmse:
     def test_identical_slices_are_zero(self, rng):
         y = rng.normal(size=(6, 2))
         p = np.repeat(y[:, :, None], 5, axis=2)
-        out = quantile_rmse(y, p, DEFAULT_QUANTILES)
+        out = score(y, p, DEFAULT_QUANTILES).per_quantile_rmse
         assert np.all(out == 0.0)
 
     def test_triple_loop_oracle(self, rng):
         y = rng.normal(size=(2, 2))
         p = rng.normal(size=(2, 2, 3))
         quantiles = (0.25, 0.5, 0.75)
-        out = quantile_rmse(y, p, quantiles)
+        out = score(y, p, quantiles).per_quantile_rmse
         for j in range(3):
             scalar, _ = rmse_loops(y, p[:, :, j])
             assert out[j] == pytest.approx(scalar, abs=1e-12)
 
     def test_median_required(self):
-        from quantforecast.errors import MissingMedian
         with pytest.raises(MissingMedian):
-            quantile_rmse(np.zeros((2, 2)), np.zeros((2, 2, 2)), (0.25, 0.75))
+            score(np.zeros((2, 2)), np.zeros((2, 2, 2)), (0.25, 0.75))
 
 
 class TestCoverage:
@@ -78,17 +94,17 @@ class TestCoverage:
         p[:, :, 0] = -100.0
         p[:, :, 1] = 0.5
         p[:, :, 2] = 100.0
-        assert coverage(y, p, 0.05, 0.95, (0.05, 0.5, 0.95)) == 1.0
+        assert score(y, p, (0.05, 0.5, 0.95)).coverage_05_95 == 1.0
 
     def test_degenerate_band_misses_everything(self, rng):
         y = rng.uniform(0.4, 0.6, size=(5, 3))
-        p = np.full((5, 3, 2), 2.0)
-        assert coverage(y, p, 0.05, 0.95, (0.05, 0.95)) == 0.0
+        p = np.full((5, 3, 3), 2.0)
+        assert score(y, p, (0.05, 0.5, 0.95)).coverage_05_95 == 0.0
 
     def test_counting_oracle(self, rng):
         y = rng.normal(size=(20, 4))
         p = np.sort(rng.normal(size=(20, 4, 3)), axis=2)
-        got = coverage(y, p, 0.1, 0.9, (0.1, 0.5, 0.9))
+        got = score(y, p, (0.1, 0.5, 0.9)).coverage_05_95
         count = 0
         for i in range(20):
             for h in range(4):
@@ -96,26 +112,22 @@ class TestCoverage:
                     count += 1
         assert got == pytest.approx(count / 80.0)
 
-    def test_absent_quantile(self):
-        with pytest.raises(MissingQuantile):
-            coverage(np.zeros((1, 1)), np.zeros((1, 1, 2)), 0.05, 0.9,
-                     (0.05, 0.95))
-
 
 class TestCrossingRate:
     def test_monotone_has_no_crossings(self, rng):
         p = np.sort(rng.normal(size=(10, 3, 5)), axis=2)
-        assert crossing_rate(p, DEFAULT_QUANTILES) == 0.0
+        assert score(p[:, :, 2], p, DEFAULT_QUANTILES).crossing == 0.0
 
     def test_swapped_slices_cross_everywhere(self, rng):
         p = np.sort(rng.normal(size=(10, 3, 5)), axis=2)
         p = p.copy()
         p[:, :, [1, 3]] = p[:, :, [3, 1]]
-        assert crossing_rate(p, DEFAULT_QUANTILES) == 1.0
+        assert score(p[:, :, 2], p, DEFAULT_QUANTILES).crossing == 1.0
 
     def test_counting_oracle(self, rng):
         p = rng.normal(size=(30, 2, 4))
-        got = crossing_rate(p, (0.1, 0.4, 0.6, 0.9))
+        got = score(rng.normal(size=(30, 2)), p,
+                    (0.1, 0.4, 0.5, 0.9)).crossing
         count = 0
         for i in range(30):
             for h in range(2):
@@ -123,19 +135,15 @@ class TestCrossingRate:
                     count += 1
         assert got == pytest.approx(count / 60.0)
 
-    def test_needs_two_levels(self):
-        with pytest.raises(ConfigError):
-            crossing_rate(np.zeros((2, 2, 1)), (0.5,))
-
 
 class TestRunReport:
     def test_mean_rmse_is_median_quantile_mean(self, rng):
         y = rng.normal(size=(8, 3))
         p = rng.normal(size=(8, 3, 5))
         report = make_run_report(7, y, p, DEFAULT_QUANTILES, wall_seconds=1.0)
-        scalar, per_h = rmse(y, p[:, :, 2])
-        assert report.mean_rmse == pytest.approx(scalar)
-        assert np.allclose(report.per_horizon_rmse, per_h)
+        scalar, per_h = rmse_loops(y, p[:, :, 2])
+        assert report.mean_rmse == pytest.approx(scalar, abs=1e-12)
+        assert np.allclose(report.per_horizon_rmse, per_h, atol=1e-12)
         assert report.mean_rmse == pytest.approx(
             float(np.mean(report.per_horizon_rmse)))
         assert report.per_quantile_rmse[2] == pytest.approx(report.mean_rmse)

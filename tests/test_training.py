@@ -79,8 +79,7 @@ def linear_dataset(n=64, seed=0):
         name="linear", inputs=inputs, targets=targets, window=d, horizons=m,
         feature_names=["value"], target_index=0,
         series_min=np.array([0.0]), series_max=np.array([1.0]),
-        normalized=True, feature_min=np.array([0.0]),
-        feature_max=np.array([1.0]), train_idx=np.arange(split),
+        train_idx=np.arange(split),
         test_idx=np.arange(split, n), split_seed=seed)
 
 
@@ -192,7 +191,7 @@ class TestRecordedOps:
                 targets=rng.uniform(size=(4, 2)), window=4, horizons=2,
                 feature_names=[f"x{j}" for j in range(f)], target_index=0,
                 series_min=np.zeros(f), series_max=np.ones(f),
-                normalized=True, train_idx=np.arange(4),
+                train_idx=np.arange(4),
                 test_idx=np.arange(0), split_seed=0)
             for family in FAMILIES:
                 for loss, qs in (("quantile", (0.25, 0.5, 0.75)),
@@ -232,7 +231,7 @@ class TestRecordedOps:
             name="toy", inputs=rng.uniform(size=(4, d, 1)),
             targets=rng.uniform(size=(4, m)), window=d,
             horizons=m, feature_names=["x"], target_index=0,
-            series_min=np.zeros(1), series_max=np.ones(1), normalized=True,
+            series_min=np.zeros(1), series_max=np.ones(1),
             train_idx=np.arange(4), test_idx=np.arange(0), split_seed=0)
         stage_steps = {
             "lstm": {"lstm1": d, "lstm2": d},
@@ -310,8 +309,7 @@ class TestQuantileSeparation:
                 name="noise", inputs=inputs, targets=targets, window=d,
                 horizons=m, feature_names=["value"], target_index=0,
                 series_min=np.array([0.0]), series_max=np.array([1.0]),
-                normalized=True, feature_min=np.array([0.0]),
-                feature_max=np.array([1.0]), train_idx=np.arange(160),
+                train_idx=np.arange(160),
                 test_idx=np.arange(160, 200), split_seed=seed)
             spec = ModelSpec(family="linear", features=1, window=d,
                              horizons=m, hidden1=1, hidden2=1,
