@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Tensor, add, backward, matmul, reshape
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, NumericalError, TrainingDiverged
 from .losses import check_quantiles, quantile_loss_batch
 
 # Convergence rule for the gradient-descent quantile fit: stop once the
@@ -74,7 +74,8 @@ def fit_quantile_linear(dataset, quantiles=None, iterations: int = 5000,
     The objective is piecewise linear, so the returned parameters are the
     best iterate seen; fit_trace records the best-so-far objective, which
     is non-increasing by construction. Intercepts start at the per-horizon
-    training target mean, weights at zero.
+    training target mean, weights at zero. An objective that goes
+    non-finite raises TrainingDiverged naming the iteration.
     """
     qs = check_quantiles(quantiles if quantiles is not None else (0.5,))
     x = _flatten_windows(dataset.train_inputs)
@@ -98,11 +99,12 @@ def fit_quantile_linear(dataset, quantiles=None, iterations: int = 5000,
     best_b = b.data.copy()
     trace: list[float] = []
     for it in range(iterations):
-        node = objective()
-        value = node.item()
-        if not np.isfinite(value):
+        try:
+            node = objective()
+        except NumericalError as exc:
             raise TrainingDiverged(f"pinball objective diverged at "
-                                   f"iteration {it}")
+                                   f"iteration {it}: {exc}") from exc
+        value = node.item()
         if value < best:
             best = value
             best_w = w.data.copy()

@@ -55,7 +55,9 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
             continue
         if node.backward_fn is None:
             if node.requires_grad:
-                table[node] = g
+                # An op may hand back a read-only view (reduce_mean's
+                # broadcast); the caller gets an array it can update.
+                table[node] = g if g.flags.writeable else g.copy()
             continue
         for parent, pg in node.backward_fn(g):
             key = parent.node_id

@@ -2,9 +2,19 @@
 
 Every op validates input shapes, computes the forward value and, when a
 gradient can reach it, records the node on the tape with a closure that
-maps the output gradient to per-parent gradients. Forward results are
-checked for finiteness; a NaN or Inf raises NumericalError at the
-producing op instead of propagating.
+maps the output gradient to the gradients of the parents a gradient can
+reach; constants such as input windows and loss targets get none.
+
+A NaN or Inf raises NumericalError at the op that produced it instead of
+propagating. Only the ops that can turn finite inputs into a non-finite
+result check theirs: matmul, add, sub, hadamard, conv1d and reduce-mean,
+whose products and sums can overflow. Every Tensor(...) is checked when
+it is made, and parameters that an optimiser updates in place reach a
+checking op first, so the inputs of the other seven are finite, and so
+are their results: slice, reshape and concat only view or copy their
+inputs, sigmoid lies in [0, 1], tanh in [-1, 1], relu is max(x, 0), and
+the pinball residual branch scales by a slope of magnitude at most 1
+(its levels must lie in [0, 1]).
 """
 
 from __future__ import annotations
@@ -12,22 +22,32 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ShapeError
-from .tensor import Tensor
+from ..errors import InvalidQuantile, NumericalError, ShapeError
+from .tensor import Tensor, _op_result
+
+# Op kinds whose result can be non-finite when their inputs are finite.
+_CHECKED_KINDS = frozenset(("matmul", "add", "sub", "hadamard", "conv1d",
+                            "reduce-mean"))
 
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(op: str, data, parents, backward_fn) -> Tensor:
-    # Off every gradient path (no parent is trainable or recorded) the
-    # result keeps neither its parents nor its closure, so a forward pass
-    # through frozen tensors holds no tape.
-    if any(p.requires_grad or p.backward_fn is not None for p in parents):
-        return Tensor(data, op=op, parents=tuple(parents),
-                      backward_fn=backward_fn)
-    return Tensor(data, op=op)
+def _live(t: Tensor) -> bool:
+    """Whether a gradient can reach t: it is trainable or recorded."""
+    return t.requires_grad or t.backward_fn is not None
+
+
+def _node(op: str, data: np.ndarray, parents, backward_fn) -> Tensor:
+    if op in _CHECKED_KINDS and not np.isfinite(data).all():
+        raise NumericalError(f"non-finite values in {op!r} result")
+    # Off every gradient path (no parent is live) the result keeps neither
+    # its parents nor its closure, so a forward pass through frozen
+    # tensors holds no tape.
+    if any(_live(p) for p in parents):
+        return _op_result(data, op, tuple(parents), backward_fn)
+    return _op_result(data, op)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -57,7 +77,12 @@ def add(a, b) -> Tensor:
     _check_broadcast("add", a, b)
 
     def backward_fn(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
+        out = []
+        if _live(a):
+            out.append((a, _unbroadcast(g, a.shape)))
+        if _live(b):
+            out.append((b, _unbroadcast(g, b.shape)))
+        return out
 
     return _node("add", a.data + b.data, (a, b), backward_fn)
 
@@ -67,7 +92,12 @@ def sub(a, b) -> Tensor:
     _check_broadcast("sub", a, b)
 
     def backward_fn(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
+        out = []
+        if _live(a):
+            out.append((a, _unbroadcast(g, a.shape)))
+        if _live(b):
+            out.append((b, _unbroadcast(-g, b.shape)))
+        return out
 
     return _node("sub", a.data - b.data, (a, b), backward_fn)
 
@@ -77,8 +107,12 @@ def hadamard(a, b) -> Tensor:
     _check_broadcast("hadamard", a, b)
 
     def backward_fn(g):
-        return [(a, _unbroadcast(g * b.data, a.shape)),
-                (b, _unbroadcast(g * a.data, b.shape))]
+        out = []
+        if _live(a):
+            out.append((a, _unbroadcast(g * b.data, a.shape)))
+        if _live(b):
+            out.append((b, _unbroadcast(g * a.data, b.shape)))
+        return out
 
     return _node("hadamard", a.data * b.data, (a, b), backward_fn)
 
@@ -89,7 +123,12 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul", a.shape, b.shape)
 
     def backward_fn(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
+        out = []
+        if _live(a):
+            out.append((a, g @ b.data.T))
+        if _live(b):
+            out.append((b, a.data.T @ g))
+        return out
 
     return _node("matmul", a.data @ b.data, (a, b), backward_fn)
 
@@ -110,6 +149,8 @@ def concat(tensors, axis: int) -> Tensor:
     def backward_fn(g):
         out = []
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if not _live(t):
+                continue
             index = [slice(None)] * ndim
             index[axis] = slice(int(lo), int(hi))
             out.append((t, g[tuple(index)]))
@@ -193,12 +234,16 @@ def conv1d(x, w) -> Tensor:
     out = np.tensordot(windows, w.data, axes=([3, 2], [0, 1]))
 
     def backward_fn(g):
-        gw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))  # (Cin, K, Cout)
-        gw = gw.transpose(1, 0, 2)
-        gx = np.zeros(x.shape)
-        for j in range(k):
-            gx[:, j:j + length_out, :] += g @ w.data[j].T
-        return [(x, gx), (w, gw)]
+        out = []
+        if _live(x):
+            gx = np.zeros(x.shape)
+            for j in range(k):
+                gx[:, j:j + length_out, :] += g @ w.data[j].T
+            out.append((x, gx))
+        if _live(w):
+            gw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))  # (Cin, K, Cout)
+            out.append((w, gw.transpose(1, 0, 2)))
+        return out
 
     return _node("conv1d", out, (x, w), backward_fn)
 
@@ -208,17 +253,22 @@ def reduce_mean(a) -> Tensor:
     n = a.size
 
     def backward_fn(g):
-        return [(a, np.broadcast_to(g / n, a.shape).copy())]
+        # A read-only view: backward() adds into only the sums it made
+        # and copies a view before returning it as a leaf's gradient.
+        return [(a, np.broadcast_to(g / n, a.shape))]
 
-    return _node("reduce-mean", np.mean(a.data), (a,), backward_fn)
+    return _node("reduce-mean", np.asarray(np.mean(a.data)), (a,),
+                 backward_fn)
 
 
 def pinball_branch(u, q) -> Tensor:
     """Asymmetric branch on residuals u: q*u where u >= 0, (q-1)*u below.
 
-    q is a fixed level (scalar or array broadcastable to u); it is an op
-    attribute, never differentiated. The subgradient at u == 0 takes the
-    non-negative branch, i.e. slope q.
+    q is a fixed level in [0, 1] (scalar or array broadcastable to u); it
+    is an op attribute, never differentiated. The subgradient at u == 0
+    takes the non-negative branch, i.e. slope q. A level outside [0, 1]
+    raises InvalidQuantile, since the result stays finite only while the
+    slope's magnitude is at most 1.
     """
     u = _wrap(u)
     q_arr = np.asarray(q, dtype=np.float64)
@@ -226,7 +276,11 @@ def pinball_branch(u, q) -> Tensor:
         np.broadcast_shapes(u.shape, q_arr.shape)
     except ValueError:
         raise ShapeError("pinball-residual-branch", u.shape, q_arr.shape) from None
-    slope = np.where(u.data >= 0, q_arr, q_arr - 1.0)
+    if not ((q_arr >= 0.0) & (q_arr <= 1.0)).all():
+        raise InvalidQuantile(f"pinball levels outside [0, 1]: {q_arr}")
+    # q - 1 where u < 0 and q - 0 = q elsewhere: the values of
+    # np.where(u >= 0, q, q - 1), without where's slow broadcast of q.
+    slope = q_arr - (u.data < 0)
 
     def backward_fn(g):
         return [(u, _unbroadcast(g * slope, u.shape))]

@@ -68,10 +68,10 @@ class SeededRng:
 class Tensor:
     """N-dimensional float64 array recorded on an autodiff tape.
 
-    Leaf tensors hold data (inputs, constants, trainable parameters); op
-    tensors carry the producing op kind and, when a gradient can reach
-    them, their parent nodes and a closure computing parent gradients from
-    the output gradient.
+    Tensor(...) builds checked leaves (inputs, constants, trainable
+    parameters). Op tensors, which the ops build, carry the producing op
+    kind and, when a gradient can reach them, their parent nodes and a
+    closure computing parent gradients from the output gradient.
     Node ids increase monotonically with creation, so they are already a
     topological order of the (acyclic) recorded graph. Data produced by an
     op is treated as immutable.
@@ -80,17 +80,17 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "op", "parents", "backward_fn",
                  "name", "node_id", "consumed")
 
-    def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
-                 parents: tuple = (), backward_fn=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False,
+                 name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
-            raise NumericalError(f"non-finite values in {op!r} result"
-                                 + (f" (tensor {name!r})" if name else ""))
+            raise NumericalError("non-finite values in tensor"
+                                 + (f" {name!r}" if name else ""))
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.op = op
-        self.parents = parents
-        self.backward_fn = backward_fn
+        self.op = "leaf"
+        self.parents = ()
+        self.backward_fn = None
         self.name = name
         self.node_id = next(_node_ids)
         self.consumed = False
@@ -113,6 +113,24 @@ class Tensor:
     def __repr__(self):
         tag = self.name or self.op
         return f"Tensor({tag}, shape={self.shape})"
+
+
+def _op_result(data: np.ndarray, op: str, parents: tuple = (),
+               backward_fn=None) -> Tensor:
+    """Engine-private: the op node around a float64 result, built without
+    the finiteness check of Tensor(...), which builds leaves only. The ops
+    call it after checking the result themselves, or where finite inputs
+    cannot give a non-finite result."""
+    t = Tensor.__new__(Tensor)
+    t.data = data
+    t.requires_grad = False
+    t.op = op
+    t.parents = parents
+    t.backward_fn = backward_fn
+    t.name = None
+    t.node_id = next(_node_ids)
+    t.consumed = False
+    return t
 
 
 def tensor_new(shape, fill: str = "zeros", *, rng: SeededRng | None = None,

@@ -55,7 +55,7 @@ def pinball(y: float, y_hat: float, q: float) -> float:
 
 def quantile_loss_batch(targets: np.ndarray, predictions, quantiles) -> LossValue:
     """Mean pinball loss of (batch, horizons, levels) predictions against
-    (batch, horizons) targets replicated across the quantile axis."""
+    (batch, horizons) targets, broadcast across the quantile axis."""
     qs = check_quantiles(quantiles)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2:
@@ -65,8 +65,7 @@ def quantile_loss_batch(targets: np.ndarray, predictions, quantiles) -> LossValu
     if predictions.shape != (batch, horizons, k):
         raise ShapeError("quantile-loss", targets.shape, predictions.shape)
 
-    tiled = np.repeat(targets[:, :, None], k, axis=2)
-    u = sub(Tensor(tiled), predictions)
+    u = sub(Tensor(targets[:, :, None]), predictions)
     node = reduce_mean(pinball_branch(u, np.asarray(qs).reshape(1, 1, k)))
     return LossValue(total=node.item(), node=node)
 

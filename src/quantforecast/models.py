@@ -256,8 +256,11 @@ def bidirectional_sequence(model: Model, x: Tensor) -> list[Tensor]:
 
 def forward_pass(model: Model, window_batch) -> Tensor:
     """Predictions of shape (batch, horizons, levels) for a window batch of
-    shape (batch, window, features). Non-finite intermediates raise
-    NumericalError naming the layer that produced them."""
+    shape (batch, window, features). A non-finite intermediate raises
+    NumericalError naming the stage and the op that produced it. Only
+    matmul, add, hadamard and conv1d can produce one here (by overflow);
+    the slices, reshapes, concats and activations map finite inputs to
+    finite results and are not checked (engine.ops)."""
     spec = model.spec
     x = (window_batch if isinstance(window_batch, Tensor)
          else Tensor(window_batch))

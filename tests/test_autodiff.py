@@ -6,7 +6,7 @@ import pytest
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, backward,
                                   concat, conv1d, grad_check, hadamard,
                                   matmul, pinball_branch, reduce_mean,
-                                  reshape, sigmoid, slice_axis, tanh,
+                                  reshape, sigmoid, slice_axis, sub, tanh,
                                   tensor_new)
 from quantforecast.errors import NotScalar
 from quantforecast.gradsuite import check_all_families, check_all_ops
@@ -80,6 +80,35 @@ class TestBackwardBasics:
         loss = reduce_mean(hadamard(p, tanh(Tensor([[0.5], [-1.0]]))))
         assert backward(loss, [p])[p].tolist() == [[np.tanh(0.5) / 2],
                                                    [np.tanh(-1.0) / 2]]
+
+    def test_no_gradient_toward_constants(self, rng):
+        # A closure hands back gradients only for the parents that a
+        # gradient can reach, not for input windows or loss targets.
+        def pair(shape):
+            return (Tensor(rng.normal(size=shape)),
+                    Tensor(rng.normal(size=shape), requires_grad=True))
+
+        for op in (matmul, add, sub, hadamard):
+            const, live = pair((3, 3))
+            for args in ((const, live), (live, const)):
+                out = op(*args)
+                assert [p for p, _ in out.backward_fn(np.ones((3, 3)))] \
+                    == [live]
+        x, w = Tensor(rng.normal(size=(2, 3, 2))), pair((2, 2, 4))[1]
+        out = conv1d(x, w)
+        assert [p for p, _ in out.backward_fn(np.ones(out.shape))] == [w]
+        const, live = pair((2, 3))
+        out = concat([const, live], axis=1)
+        assert [p for p, _ in out.backward_fn(np.ones((2, 6)))] == [live]
+
+    def test_returned_gradients_are_writable(self):
+        # reduce_mean's backward hands back a read-only broadcast view;
+        # the table holds arrays a caller can update in place.
+        p = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        for loss in (reduce_mean(p), reduce_mean(reshape(p, (4,)))):
+            grad = backward(loss, [p])[p]
+            grad *= 2.0
+            assert grad.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     def test_graph_consumed_after_backward(self):
         p = Tensor([1.0], requires_grad=True)

@@ -9,6 +9,7 @@ import pytest
 from quantforecast.baselines import (LinearModel, fit_ols,
                                      fit_quantile_linear, predict)
 from quantforecast.datapipe import WindowedDataset
+from quantforecast.errors import TrainingDiverged
 
 
 def dataset_from_arrays(inputs, targets, train_share=1.0):
@@ -160,6 +161,15 @@ class TestFitQuantileLinear:
                                     learning_rate=0.02)
         levels = model.intercept[0]
         assert levels[0] < levels[1] < levels[2]
+
+
+    def test_divergence_is_training_diverged(self, mg_dataset):
+        # The first step overflows the weights; the next objective's
+        # non-finite matmul is reported as divergence at that iteration.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match="iteration 1"):
+                fit_quantile_linear(mg_dataset, (0.05, 0.5, 0.95),
+                                    iterations=10, learning_rate=1e308)
 
 
 class TestPredict:

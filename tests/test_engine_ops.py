@@ -7,7 +7,8 @@ from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, concat,
                                   conv1d, hadamard, matmul, pinball_branch,
                                   reduce_mean, relu, reshape, sigmoid,
                                   slice_axis, sub, tanh, tensor_new)
-from quantforecast.errors import InvalidShape, NumericalError, ShapeError
+from quantforecast.errors import (InvalidQuantile, InvalidShape,
+                                  NumericalError, ShapeError)
 
 
 class TestTensorNew:
@@ -130,6 +131,61 @@ class TestOpErrors:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError):
                 hadamard(big, big)
+
+
+# Ops that can turn finite inputs into a non-finite result, each given
+# finite inputs that overflow.
+OVERFLOWING = {
+    "add": lambda: add(Tensor([1.7e308]), Tensor([1.7e308])),
+    "sub": lambda: sub(Tensor([1.7e308]), Tensor([-1.7e308])),
+    "hadamard": lambda: hadamard(Tensor([1e200]), Tensor([1e200])),
+    "matmul": lambda: matmul(Tensor([[1e200]]), Tensor([[1e200]])),
+    "conv1d": lambda: conv1d(Tensor(np.full((1, 1, 1), 1e200)),
+                             Tensor(np.full((1, 1, 1), 1e200))),
+    "reduce-mean": lambda: reduce_mean(Tensor([1.7e308, 1.7e308])),
+}
+# Ops whose result is finite whenever their inputs are, so they skip the
+# check; each is applied to the extremes of the float64 range.
+EXTREMES = np.array([[1.7e308, -1.7e308, 1e-320, -1e-320]])
+BOUNDED = {
+    "slice": lambda x: slice_axis(x, 1, 1, 3),
+    "reshape": lambda x: reshape(x, (2, 2)),
+    "concat": lambda x: concat([x, x], axis=0),
+    "sigmoid": sigmoid,
+    "tanh": tanh,
+    "relu": relu,
+    "pinball-residual-branch": lambda x: pinball_branch(x, [[0.05], [0.95]]),
+}
+
+
+class TestFinitenessContract:
+    def test_kinds_split_the_op_table(self):
+        assert set(OVERFLOWING) | set(BOUNDED) == set(OP_TABLE)
+        assert not set(OVERFLOWING) & set(BOUNDED)
+
+    @pytest.mark.parametrize("kind", sorted(OVERFLOWING))
+    def test_checking_op_raises_on_overflow(self, kind):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=kind):
+                OVERFLOWING[kind]()
+
+    @pytest.mark.parametrize("kind", sorted(BOUNDED))
+    def test_exempt_op_stays_finite_at_the_extremes(self, kind):
+        out = BOUNDED[kind](Tensor(EXTREMES))
+        assert out.op == kind
+        assert np.isfinite(out.data).all()
+
+    def test_tensor_constructor_still_checks(self):
+        for bad in (np.inf, -np.inf, [[1.0, np.inf]]):
+            with pytest.raises(NumericalError):
+                Tensor(bad)
+
+    @pytest.mark.parametrize("q", [2.0, -0.5, np.nan, [[0.5], [np.inf]]])
+    def test_pinball_branch_rejects_levels_outside_unit_interval(self, q):
+        # The branch skips the finiteness check only because its slope's
+        # magnitude is at most 1, which a level outside [0, 1] breaks.
+        with pytest.raises(InvalidQuantile):
+            pinball_branch(Tensor([[1e308, -1e308]]), q)
 
 
 class TestStructuralProperties:

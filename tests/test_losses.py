@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from quantforecast.engine import Tensor, backward
+from quantforecast.engine import (Tensor, backward, pinball_branch,
+                                  reduce_mean, sub)
 from quantforecast.errors import InvalidQuantile, ShapeError
 from quantforecast.losses import (DEFAULT_QUANTILES, check_quantiles,
                                   mse_loss_batch, pinball,
@@ -90,6 +91,31 @@ class TestQuantileLossBatch:
             assert value.total == oracle
             assert value.node.item() == oracle
             assert value.node.parents == ()
+
+    @pytest.mark.parametrize("shape", [(7, 3, 5), (6, 1, 3), (5, 4, 1),
+                                       (1, 1, 1)])
+    def test_broadcast_targets_equal_tiled_formula_bytewise(self, rng, shape):
+        # The targets broadcast across the levels; value and prediction
+        # gradient are the bytes of the formula on explicitly tiled targets.
+        batch, horizons, k = shape
+        quantiles = DEFAULT_QUANTILES[:k] if k > 1 else (0.5,)
+        targets = rng.normal(size=(batch, horizons))
+        base = rng.normal(size=shape)
+
+        tiled = Tensor(np.repeat(targets[:, :, None], k, axis=2))
+        pred = Tensor(base.copy(), requires_grad=True)
+        node = reduce_mean(pinball_branch(
+            sub(tiled, pred), np.asarray(quantiles).reshape(1, 1, k)))
+        oracle_value = node.item()
+        oracle_grad = backward(node, [pred])[pred]
+
+        assert quantile_loss_batch(targets, base, quantiles).total \
+            == oracle_value
+        pred = Tensor(base.copy(), requires_grad=True)
+        value = quantile_loss_batch(targets, pred, quantiles)
+        assert value.total == oracle_value
+        grad = backward(value.node, [pred])[pred]
+        assert grad.tobytes() == oracle_grad.tobytes()
 
     def test_flat_layout_mismatch(self):
         # only the (batch, horizons, levels) layout is accepted, even when
