@@ -23,6 +23,16 @@ loss), or one whole 30-iteration quantile-linear fit at the levels
 Prints one JSON object: ms per step and the median minor page faults
 per step of each side, the A/B ratio of the total and of the median step
 time, and whether the two sides' parameters stayed bitwise equal.
+
+Caveat: both sides share one process and so one glibc heap, and each
+side's allocations change where the other's arrays land. When the two
+sides' `*_minor_faults_per_step` differ, the time ratio may not hold in
+separate processes: confirm it with alternating `perfbench` pairs. An
+edlstm variant that dropped the forward arrays no backward closure reads
+(bitwise equal to its parent) read 1.092 here over 300 steps, with 1168
+minor faults per step against 0, yet in three `mg-edlstm-quantile` pairs
+its `train_windows_per_s` did not move and `predict_windows_per_s` fell
+by about 10%.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import SeededRng
 from .errors import (ConfigError, DegenerateFeature, InsufficientData,
-                     ParseError, SchemaError)
+                     NumericalError, ParseError, SchemaError)
 
 MARKET_FEATURES = ("high", "low", "open", "close", "volume")
 
@@ -40,7 +40,8 @@ class RawSeries:
         if self.values.ndim == 1:
             self.values = self.values[:, None]
         if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"series {self.name!r} contains non-finite values")
+            raise NumericalError(f"series {self.name!r} contains "
+                                 f"non-finite values")
         if len(self.columns) != self.values.shape[1]:
             raise ValueError("column names do not match value width")
 
@@ -86,54 +87,61 @@ class LorenzParams:
 def gen_mackey_glass(params: MackeyGlassParams, seed: int) -> RawSeries:
     """Delay-differential series dx/dt = a*x(t-delay)/(1 + x(t-delay)^10)
     - b*x(t), integrated by RK4 on the delay grid (the delayed term is held
-    constant over each step). The pre-history is the constant level plus a
-    seeded uniform jitter, so the seed pins the whole trajectory."""
+    constant over each step, so its growth term is computed once per step).
+    The pre-history is the constant level plus a seeded uniform jitter, so
+    the seed pins the whole trajectory. Steps run on Python floats; a
+    growth term that overflows raises NumericalError naming the step."""
     rng = SeededRng(seed)
     delay_steps = max(1, int(round(params.delay / params.dt)))
     history = params.history + rng.uniform(-params.jitter, params.jitter,
                                            delay_steps + 1)
-    xs = np.empty(params.steps)
-    xs[0] = history[-1]
-
+    # The pre-history, then the series from its first point (the last
+    # pre-history value): step t reads its delayed value at path[t].
+    path = history.tolist()
+    x = path[-1]
     a, b, dt = params.a, params.b, params.dt
-
-    def deriv(x, x_delayed):
-        return a * x_delayed / (1.0 + x_delayed ** 10) - b * x
-
+    half = 0.5 * dt
     for t in range(params.steps - 1):
-        back = t - delay_steps
-        delayed = xs[back] if back >= 0 else history[back + delay_steps]
-        k1 = deriv(xs[t], delayed)
-        k2 = deriv(xs[t] + 0.5 * dt * k1, delayed)
-        k3 = deriv(xs[t] + 0.5 * dt * k2, delayed)
-        k4 = deriv(xs[t] + dt * k3, delayed)
-        xs[t + 1] = xs[t] + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return RawSeries(name="mackey-glass", columns=["value"], values=xs)
+        delayed = path[t]
+        try:
+            growth = a * delayed / (1.0 + delayed ** 10)
+        except OverflowError:
+            raise NumericalError(f"series 'mackey-glass' overflows at step "
+                                 f"{t}: delayed value {delayed!r}") from None
+        k1 = growth - b * x
+        k2 = growth - b * (x + half * k1)
+        k3 = growth - b * (x + half * k2)
+        k4 = growth - b * (x + dt * k3)
+        x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        path.append(x)
+    return RawSeries(name="mackey-glass", columns=["value"],
+                     values=path[delay_steps:])
 
 
 def gen_lorenz(params: LorenzParams, seed: int) -> tuple[RawSeries, RawSeries]:
-    """RK4 integration of the Lorenz system at fixed dt. Returns the
-    selected component as a univariate series plus the full 3-column
-    series. The seed jitters the initial state."""
+    """RK4 integration of the Lorenz system at fixed dt, stepped on Python
+    floats. Returns the selected component as a univariate series plus
+    the full 3-column series. The seed jitters the initial state."""
     rng = SeededRng(seed)
     state = np.asarray(params.initial, dtype=np.float64)
-    state = state + rng.uniform(-params.jitter, params.jitter, 3)
-
+    x, y, z = (state + rng.uniform(-params.jitter, params.jitter, 3)).tolist()
     rho, sigma, beta, dt = params.rho, params.sigma, params.beta, params.dt
+    half = 0.5 * dt
 
-    def deriv(u):
-        x, y, z = u
-        return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+    def deriv(x, y, z):
+        return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
 
-    out = np.empty((params.steps, 3))
-    out[0] = state
-    for t in range(params.steps - 1):
-        u = out[t]
-        k1 = deriv(u)
-        k2 = deriv(u + 0.5 * dt * k1)
-        k3 = deriv(u + 0.5 * dt * k2)
-        k4 = deriv(u + dt * k3)
-        out[t + 1] = u + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    rows = [(x, y, z)]
+    for _ in range(params.steps - 1):
+        k1x, k1y, k1z = deriv(x, y, z)
+        k2x, k2y, k2z = deriv(x + half * k1x, y + half * k1y, z + half * k1z)
+        k3x, k3y, k3z = deriv(x + half * k2x, y + half * k2y, z + half * k2z)
+        k4x, k4y, k4z = deriv(x + dt * k3x, y + dt * k3y, z + dt * k3z)
+        x = x + dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        y = y + dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        z = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+        rows.append((x, y, z))
+    out = np.array(rows)
 
     full = RawSeries(name="lorenz", columns=["x", "y", "z"], values=out)
     col = ("x", "y", "z").index(params.component)
@@ -161,15 +169,18 @@ _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y", "%Y-%m-%d %H:%M:%S")
 
 def _parse_date_key(cell: str, row: int):
     cell = cell.strip()
+    # An integer cell cannot match a date format: each has a -, / or :
+    # between its fields.
+    try:
+        return int(cell)
+    except ValueError:
+        pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(cell, fmt)
         except ValueError:
             continue
-    try:
-        return int(cell)
-    except ValueError:
-        raise ParseError(f"unparseable date {cell!r}", row) from None
+    raise ParseError(f"unparseable date {cell!r}", row)
 
 
 def _parse_float(cell: str, column: str, row: int) -> float:
@@ -371,6 +382,5 @@ def write_series_csv(path, series: RawSeries) -> None:
         else:
             writer.writerow(["Date"] + [c.capitalize() for c in series.columns])
         index = series.index or [str(i) for i in range(series.length)]
-        for i in range(series.length):
-            writer.writerow([index[i]]
-                            + [repr(float(v)) for v in series.values[i]])
+        writer.writerows([key] + [repr(v) for v in row]
+                         for key, row in zip(index, series.values.tolist()))

@@ -67,6 +67,19 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("settings, series", [
+        (["lorenz", "--dt", "0.5", "--steps", "2000"], "'lorenz'"),
+        (["mackey-glass", "--a", "1e40"], "'mackey-glass' overflows at step")],
+        ids=["lorenz", "mackey-glass"])
+    def test_overflowing_series_exit_2(self, tmp_path, capsys, settings,
+                                       series):
+        out = tmp_path / "series.csv"
+        assert main(["generate"] + settings + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert series in err
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_linear_campaign(self, tmp_path, capsys):

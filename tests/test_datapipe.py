@@ -1,5 +1,8 @@
-"""Generators against closed-form/step-halving oracles; CSV ingestion;
-window and split properties."""
+"""Generators against closed-form/step-halving oracles and, bit for bit,
+their numpy-stepped reference; CSV ingestion; window and split
+properties."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ from quantforecast.datapipe import (LorenzParams, MackeyGlassParams,
                                     gen_mackey_glass, load_csv, make_windows,
                                     normalize_and_split, write_series_csv)
 from quantforecast.errors import (ConfigError, DegenerateFeature,
-                                  InsufficientData, ParseError, SchemaError)
+                                  InsufficientData, NumericalError,
+                                  ParseError, SchemaError)
+
+from generator_oracle import lorenz_values, mackey_glass_values
 
 
 class TestMackeyGlass:
@@ -52,6 +58,23 @@ class TestMackeyGlass:
         with pytest.raises(ConfigError, match="dt > 0"):
             MackeyGlassParams(dt=dt)
 
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2**64 - 1])
+    def test_bitwise_equal_to_numpy_stepped_oracle(self, seed):
+        for dt, delay, jitter in itertools.product(
+                (1.0, 0.5, 0.3), (1, 10, 17), (0.0, 0.01)):
+            for steps in (delay + 2, 3000):
+                params = MackeyGlassParams(dt=dt, delay=delay, steps=steps,
+                                           jitter=jitter)
+                got = gen_mackey_glass(params, seed).values
+                want = mackey_glass_values(params, seed)
+                assert got.tobytes() == want.tobytes(), params
+
+    def test_overflowing_growth_term_names_step(self):
+        params = MackeyGlassParams(a=1e40, steps=50)
+        with pytest.raises(NumericalError,
+                           match="'mackey-glass' overflows at step"):
+            gen_mackey_glass(params, seed=0)
+
 
 class TestLorenz:
     def test_requested_length_and_full_series(self):
@@ -92,6 +115,23 @@ class TestLorenz:
         with pytest.raises(ConfigError, match="dt > 0"):
             LorenzParams(dt=dt)
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_bitwise_equal_to_numpy_stepped_oracle(self, seed):
+        for dt, steps in itertools.product((0.01, 0.005), (2, 1000, 10000)):
+            want = lorenz_values(LorenzParams(dt=dt, steps=steps), seed)
+            for col, component in enumerate("xyz"):
+                params = LorenzParams(dt=dt, steps=steps, component=component)
+                uni, full = gen_lorenz(params, seed)
+                assert full.values.tobytes() == want.tobytes(), params
+                assert uni.values.tobytes() == want[:, col].tobytes(), params
+        params = LorenzParams(sigma=0, steps=1000)
+        assert (gen_lorenz(params, seed)[1].values.tobytes()
+                == lorenz_values(params, seed).tobytes())
+
+    def test_diverging_series_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="'lorenz'"):
+            gen_lorenz(LorenzParams(dt=0.5, steps=2000), seed=0)
+
 
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
@@ -122,9 +162,11 @@ class TestLoadCsv:
         assert series.values[:, 0].tolist() == [1.0, 2.0]
 
     def test_integer_step_index(self, tmp_path):
-        content = "Date,Value\n0,5.0\n1,6.0\n2,7.0\n"
+        content = "Date,Value\n0,5.0\n1,6.0\n2,7.0\n 4 ,9.0\n+3,8.0\n-1,4.0\n"
         series = load_csv(write_csv(tmp_path / "i.csv", content), "univariate")
-        assert series.length == 3
+        assert series.length == 6
+        assert series.values[:, 0].tolist() == [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+        assert series.index == ["-1", "0", "1", "2", "+3", "4"]
 
     def test_missing_column_lists_names(self, tmp_path):
         content = "Date,High,Low,Open,Close\n2020-01-01,1,1,1,1\n"
@@ -156,6 +198,16 @@ class TestLoadCsv:
         loaded = load_csv(path, "univariate")
         assert np.allclose(loaded.values, series.values, atol=0)
         assert loaded.index == [str(i) for i in range(50)]
+
+    def test_writer_cells_are_float_reprs(self, tmp_path):
+        _, series = gen_lorenz(LorenzParams(steps=300), seed=2)
+        path = tmp_path / "lz.csv"
+        write_series_csv(path, series)
+        rows = [["Date", "X", "Y", "Z"]]
+        rows += [[str(i)] + [repr(float(v)) for v in row]
+                 for i, row in enumerate(series.values)]
+        expected = "".join(",".join(row) + "\r\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestMakeWindows:
