@@ -22,7 +22,9 @@ loss), or one whole 30-iteration quantile-linear fit at the levels
 
 Prints one JSON object: ms per step and the median minor page faults
 per step of each side, the A/B ratio of the total and of the median step
-time, and whether the two sides' parameters stayed bitwise equal.
+time, and whether the two sides' parameters stayed bitwise equal. When
+the two sides' median minor faults per step differ, it also prints one
+warning line on stderr (see the caveat below).
 
 Caveat: both sides share one process and so one glibc heap, and each
 side's allocations change where the other's arrays land. When the two
@@ -182,6 +184,10 @@ def main(argv=None) -> int:
                              for x, y in zip(a.state(), b.state())),
     }
     print(json.dumps(summary, indent=1))
+    if summary["a_minor_faults_per_step"] != summary["b_minor_faults_per_step"]:
+        print("warning: the sides' minor faults per step differ, so the "
+              "time ratio may not hold in separate processes; confirm it "
+              "with alternating perfbench pairs", file=sys.stderr)
     return 0
 
 

@@ -14,6 +14,7 @@ integer step index (used by generated series).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -50,6 +51,15 @@ class RawSeries:
         return self.values.shape[0]
 
 
+def _check_finite(**settings: float) -> None:
+    """Raise ConfigError naming every setting that is NaN or infinite."""
+    bad = [f"{name}={value!r}" for name, value in settings.items()
+           if not math.isfinite(value)]
+    if bad:
+        raise ConfigError(f"generator settings must be finite, got "
+                          f"{', '.join(bad)}")
+
+
 @dataclass
 class MackeyGlassParams:
     a: float = 0.2
@@ -61,6 +71,8 @@ class MackeyGlassParams:
     jitter: float = 0.01
 
     def __post_init__(self):
+        _check_finite(a=self.a, b=self.b, dt=self.dt, history=self.history,
+                      jitter=self.jitter)
         if self.delay < 1 or self.steps < self.delay + 2 or self.dt <= 0:
             raise ConfigError("need delay >= 1, steps >= delay + 2 and "
                               "dt > 0")
@@ -78,6 +90,10 @@ class LorenzParams:
     component: str = "x"
 
     def __post_init__(self):
+        _check_finite(rho=self.rho, sigma=self.sigma, beta=self.beta,
+                      dt=self.dt, jitter=self.jitter,
+                      **{f"initial[{i}]": v
+                         for i, v in enumerate(self.initial)})
         if self.steps < 2 or self.dt <= 0:
             raise ConfigError("need steps >= 2 and dt > 0")
         if self.component not in ("x", "y", "z"):

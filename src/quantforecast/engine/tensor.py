@@ -45,22 +45,6 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def get_state(self) -> dict:
-        """Serializable generator state (all JSON-compatible ints/strings)."""
-        return {
-            "seed": self.seed,
-            "path": list(self.path),
-            "bit_generator": self._gen.bit_generator.state,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SeededRng":
-        rng = cls(state["seed"], tuple(state["path"]))
-        bg = dict(state["bit_generator"])
-        # JSON round-trips tuples as lists; PCG64 state is a nested dict of ints.
-        rng._gen.bit_generator.state = bg
-        return rng
-
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, path={self.path})"
 

@@ -1,7 +1,5 @@
 """Exception types shared across the library."""
 
-from dataclasses import fields
-
 
 class ForecastError(Exception):
     """Base class for all library errors."""
@@ -33,14 +31,6 @@ class ConfigError(ForecastError):
     """Inconsistent or out-of-range configuration."""
 
 
-def check_known_fields(cls, d: dict, what: str) -> None:
-    """Raise ConfigError naming every key of d that is not a field of the
-    dataclass cls."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
-
-
 class InvalidQuantile(ForecastError):
     """Quantile level outside the open interval (0, 1) or not increasing."""
 
@@ -50,11 +40,7 @@ class MissingMedian(ForecastError):
 
 
 class TrainingDiverged(ForecastError):
-    """Loss became non-finite; carries the last finite parameter snapshot."""
-
-    def __init__(self, message: str, last_good=None):
-        super().__init__(message)
-        self.last_good = last_good
+    """Loss, gradient or update became non-finite during a fit."""
 
 
 class InsufficientData(ForecastError):

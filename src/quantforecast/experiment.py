@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 import types
@@ -37,8 +38,7 @@ from .datapipe import (LorenzParams, MackeyGlassParams, RawSeries, downsample,
                        gen_lorenz, gen_mackey_glass, load_csv, make_windows,
                        normalize_and_split)
 from .engine import SeededRng
-from .errors import (ConfigError, EmptyEval, IoError, SchemaError,
-                     check_known_fields)
+from .errors import ConfigError, EmptyEval, IoError, SchemaError
 from .evaluation import (AggregateReport, RunReport, aggregate_runs,
                          make_run_report)
 from .losses import DEFAULT_QUANTILES, check_quantiles
@@ -122,9 +122,10 @@ class ExperimentConfig:
         if self.linear_iterations < 1:
             raise ConfigError(f"linear iterations must be >= 1, "
                               f"got {self.linear_iterations}")
-        if self.linear_learning_rate <= 0:
-            raise ConfigError(f"linear learning rate must be positive, "
-                              f"got {self.linear_learning_rate}")
+        if not (math.isfinite(self.linear_learning_rate)
+                and self.linear_learning_rate > 0):
+            raise ConfigError(f"linear_learning_rate must be finite and "
+                              f"positive, got {self.linear_learning_rate}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -161,7 +162,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        check_known_fields(cls, d, "experiment config")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown experiment config key(s): "
+                              f"{', '.join(unknown)}")
         return cls(**d)
 
 

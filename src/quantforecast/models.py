@@ -42,16 +42,12 @@ at every step, so its projection is computed once and passed m times.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import (SeededRng, Tensor, add, concat, conv1d, hadamard, matmul,
                      relu, reshape, sigmoid, slice_axis, tanh, tensor_new)
-from .errors import (ConfigError, NumericalError, ShapeError,
-                     check_known_fields)
+from .errors import ConfigError, NumericalError, ShapeError
 from .losses import check_quantiles
 
 FAMILIES = ("lstm", "bdlstm", "edlstm", "convlstm", "linear")
@@ -87,25 +83,6 @@ class ModelSpec:
     def levels(self) -> int:
         return len(self.quantiles)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family, "features": self.features,
-            "window": self.window, "horizons": self.horizons,
-            "hidden1": self.hidden1, "hidden2": self.hidden2,
-            "quantiles": list(self.quantiles),
-            "conv_filters": self.conv_filters, "conv_kernel": self.conv_kernel,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        # v1 checkpoints carry the retired output-layout setting; it never
-        # changed the predictions, so it is dropped.
-        d.pop("output_layout", None)
-        check_known_fields(cls, d, "model spec")
-        d["quantiles"] = tuple(d["quantiles"])
-        return cls(**d)
-
 
 class Model:
     """A ModelSpec instantiated as named parameter tensors."""
@@ -116,9 +93,6 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
 
     def frozen(self) -> "Model":
         """A view sharing these weights through which no op records a
@@ -321,56 +295,3 @@ def forward_pass(model: Model, window_batch) -> Tensor:
     except NumericalError as exc:
         raise NumericalError(f"{spec.family} {stage}: {exc}") from exc
     return reshape(out, (batch, m, k))
-
-
-# --- checkpoint container -------------------------------------------------
-#
-# Self-describing JSON: spec fields plus named parameter tensors whose
-# values are stored as space-joined C float.hex() strings, so round-trips
-# are bit-exact and portable.
-
-CHECKPOINT_FORMAT = "quantforecast-model-v1"
-
-
-def array_to_hex(arr: np.ndarray) -> str:
-    return " ".join(v.hex() for v in map(float, arr.ravel()))
-
-
-def array_from_hex(text: str, shape) -> np.ndarray:
-    values = [float.fromhex(tok) for tok in text.split()]
-    return np.array(values, dtype=np.float64).reshape(tuple(shape))
-
-
-def model_to_dict(model: Model) -> dict:
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "spec": model.spec.to_dict(),
-        "params": {
-            name: {"shape": list(p.shape), "hex": array_to_hex(p.data)}
-            for name, p in model.params.items()
-        },
-    }
-
-
-def model_from_dict(payload: dict) -> Model:
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unrecognised checkpoint format "
-                          f"{payload.get('format')!r}")
-    spec = ModelSpec.from_dict(payload["spec"])
-    model = build_model(spec, SeededRng(0))
-    for name, entry in payload["params"].items():
-        if name not in model.params:
-            raise ConfigError(f"checkpoint parameter {name!r} not in spec")
-        model.params[name].data[...] = array_from_hex(entry["hex"],
-                                                      entry["shape"])
-    return model
-
-
-def save_model(path, model: Model) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-
-
-def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -1,15 +1,14 @@
 """Adam optimiser and the deterministic training loop.
 
 A run is strictly single-threaded and fully determined by (seed, config):
-the shuffle order comes from the run's SeededRng, parameters update in the
-fixed name order of the model's parameter table, and checkpoints capture
-parameters, optimiser moments, epoch index and the generator state, so a
-resumed run reproduces the uninterrupted trajectory bit for bit.
+the shuffle order comes from the run's SeededRng and parameters update in
+the fixed name order of the model's parameter table, so identical runs
+reproduce each other bit for bit.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +16,7 @@ import numpy as np
 from .engine import SeededRng, Tensor, backward
 from .errors import ConfigError, NumericalError, TrainingDiverged
 from .losses import LossValue, mse_loss_batch, quantile_loss_batch
-from .models import (Model, array_from_hex, array_to_hex, forward_pass,
-                     model_from_dict, model_to_dict)
+from .models import Model, forward_pass
 
 LOSS_KINDS = ("quantile", "mse")
 
@@ -33,26 +31,6 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps, "step": self.step,
-            "m": {k: {"shape": list(a.shape), "hex": array_to_hex(a)}
-                  for k, a in self.m.items()},
-            "v": {k: {"shape": list(a.shape), "hex": array_to_hex(a)}
-                  for k, a in self.v.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdamState":
-        state = cls(learning_rate=d["learning_rate"], beta1=d["beta1"],
-                    beta2=d["beta2"], eps=d["eps"], step=d["step"])
-        state.m = {k: array_from_hex(e["hex"], e["shape"])
-                   for k, e in d["m"].items()}
-        state.v = {k: array_from_hex(e["hex"], e["shape"])
-                   for k, e in d["v"].items()}
-        return state
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
@@ -97,8 +75,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     loss: str = "quantile"
     clip_norm: float | None = None
-    checkpoint_every: int | None = None
-    checkpoint_dir: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -107,18 +83,19 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.loss!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(
-                f"clip norm must be positive, got {self.clip_norm}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning rate must be finite and positive, "
+                              f"got {self.learning_rate}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0):
+            raise ConfigError(f"clip norm must be finite and positive, "
+                              f"got {self.clip_norm}")
 
 
 @dataclass
 class TrainResult:
     model: Model
     epoch_losses: list[float]
-    adam: AdamState
 
 
 def _batch_loss(model: Model, inputs: np.ndarray, targets: np.ndarray,
@@ -140,11 +117,11 @@ def _clip_gradients(params: dict[str, Tensor],
     return {p: grads[p] * factor for p in params.values()}
 
 
-def train(model: Model, dataset, config: TrainConfig, rng: SeededRng,
-          adam: AdamState | None = None, start_epoch: int = 0) -> TrainResult:
+def train(model: Model, dataset, config: TrainConfig,
+          rng: SeededRng) -> TrainResult:
     """Train on the dataset's training split; returns the per-epoch mean
-    loss trace. Raises TrainingDiverged (with the last finished epoch's
-    parameter snapshot attached) if the loss goes non-finite."""
+    loss trace. Raises TrainingDiverged, naming the epoch and the failing
+    stage, if the loss or a gradient goes non-finite."""
     if config.loss == "mse" and model.spec.levels != 1:
         raise ConfigError("mse loss requires a single-level (classic) model; "
                           f"model has {model.spec.levels} quantile levels")
@@ -154,12 +131,10 @@ def train(model: Model, dataset, config: TrainConfig, rng: SeededRng,
     if n == 0:
         raise ConfigError("training split is empty")
 
-    if adam is None:
-        adam = AdamState(learning_rate=config.learning_rate)
+    adam = AdamState(learning_rate=config.learning_rate)
     losses: list[float] = []
-    last_good = model.snapshot()
 
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_sum = 0.0
         for lo in range(0, n, config.batch_size):
@@ -174,35 +149,7 @@ def train(model: Model, dataset, config: TrainConfig, rng: SeededRng,
                 adam_step(model.params, grads, adam)
             except NumericalError as exc:
                 raise TrainingDiverged(
-                    f"training diverged at epoch {epoch}: {exc}",
-                    last_good=last_good) from exc
+                    f"training diverged at epoch {epoch}: {exc}") from exc
             epoch_sum += value.total * len(index)
         losses.append(epoch_sum / n)
-        last_good = model.snapshot()
-        if (config.checkpoint_every and config.checkpoint_dir
-                and (epoch + 1) % config.checkpoint_every == 0):
-            save_train_checkpoint(
-                f"{config.checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.json",
-                model, adam, epoch + 1, rng)
-    return TrainResult(model=model, epoch_losses=losses, adam=adam)
-
-
-def save_train_checkpoint(path, model: Model, adam: AdamState,
-                          next_epoch: int, rng: SeededRng) -> None:
-    payload = {
-        "model": model_to_dict(model),
-        "adam": adam.to_dict(),
-        "next_epoch": next_epoch,
-        "rng": rng.get_state(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_train_checkpoint(path) -> tuple[Model, AdamState, int, SeededRng]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    model = model_from_dict(payload["model"])
-    adam = AdamState.from_dict(payload["adam"])
-    rng = SeededRng.from_state(payload["rng"])
-    return model, adam, payload["next_epoch"], rng
+    return TrainResult(model=model, epoch_losses=losses)

@@ -58,7 +58,9 @@ class TestGenerate:
     @pytest.mark.parametrize("bad", [
         ["mackey-glass", "--steps", "0"], ["mackey-glass", "--dt", "0"],
         ["lorenz", "--steps", "0"], ["lorenz", "--dt", "0"],
-        ["mackey-glass", "--seed", "-1"]])
+        ["mackey-glass", "--seed", "-1"], ["mackey-glass", "--dt", "nan"],
+        ["mackey-glass", "--dt", "inf"], ["mackey-glass", "--a", "nan"],
+        ["lorenz", "--dt", "nan"], ["lorenz", "--rho", "inf"]])
     def test_bad_generator_settings_exit_1(self, tmp_path, capsys, bad):
         out = tmp_path / "series.csv"
         assert main(["generate"] + bad + ["--out", str(out)]) == 1
@@ -152,7 +154,9 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("bad", [
         ["--epochs", "0"], ["--epochs", "1", "--batch-size", "0"],
-        ["--clip-norm", "-1"], ["--clip-norm", "0"]])
+        ["--clip-norm", "-1"], ["--clip-norm", "0"],
+        ["--learning-rate", "nan"], ["--learning-rate", "inf"],
+        ["--clip-norm", "nan"]])
     def test_bad_training_numbers_exit_1_before_any_run(self, tmp_path,
                                                          capsys, bad):
         out = tmp_path / "campaign"
@@ -196,7 +200,8 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("window", "5"), ("quantiles", 5), ("quantile", "no"),
-        ("epochs", True), ("learning_rate", "0.1")])
+        ("epochs", True), ("learning_rate", "0.1"),
+        ("linear_learning_rate", float("nan"))])
     def test_mistyped_config_value_exit_1(self, tmp_path, capsys, key,
                                           value):
         path = tmp_path / "exp.json"

@@ -1,8 +1,6 @@
 """Architecture wiring, parameter inventories, and the LSTM cell against an
 independent straight-line oracle."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,7 @@ from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
 from quantforecast.models import (FAMILIES, ModelSpec,
                                   bidirectional_sequence, build_model,
-                                  forward_pass, load_model, model_from_dict,
-                                  model_to_dict, save_model)
+                                  forward_pass)
 
 from lstm_oracle import lstm_cell_step
 
@@ -354,50 +351,3 @@ class TestForwardOracles:
         assert frozen.parents == () and frozen.backward_fn is None
         assert frozen.data.tobytes() == recorded.data.tobytes()
 
-
-class TestCheckpointRoundTrip:
-    def test_bit_exact_roundtrip(self, tmp_path):
-        model = build_model(toy_spec("convlstm", f=3,
-                                     quantiles=DEFAULT_QUANTILES), SeededRng(8))
-        path = tmp_path / "model.json"
-        save_model(path, model)
-        clone = load_model(path)
-        assert clone.spec == model.spec
-        for name, p in model.params.items():
-            assert np.array_equal(clone.params[name].data, p.data), name
-
-    def test_predictions_survive_roundtrip(self, tmp_path, rng):
-        model = build_model(toy_spec("bdlstm"), SeededRng(9))
-        window = rng.normal(size=(2, 4, 1))
-        before = forward_pass(model, window).data
-        save_model(tmp_path / "m.json", model)
-        after = forward_pass(load_model(tmp_path / "m.json"), window).data
-        assert np.array_equal(before, after)
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ConfigError):
-            load_model(path)
-
-    def test_checkpoint_with_output_layout_key_predicts_identically(
-            self, tmp_path, rng):
-        # v1 checkpoints written while the spec had an output-layout field
-        model = build_model(toy_spec("edlstm", quantiles=(0.25, 0.5, 0.75)),
-                            SeededRng(5))
-        for layout in ("vector", "grouped"):
-            payload = model_to_dict(model)
-            payload["spec"]["output_layout"] = layout
-            path = tmp_path / f"{layout}.json"
-            path.write_text(json.dumps(payload))
-            clone = load_model(path)
-            assert clone.spec == model.spec
-            window = rng.normal(size=(2, 4, 1))
-            assert np.array_equal(forward_pass(clone, window).data,
-                                  forward_pass(model, window).data)
-
-    def test_rejects_unknown_spec_key(self):
-        payload = model_to_dict(build_model(toy_spec("lstm"), SeededRng(0)))
-        payload["spec"]["hidden3"] = 4
-        with pytest.raises(ConfigError, match="hidden3"):
-            model_from_dict(payload)
