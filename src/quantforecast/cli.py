@@ -52,16 +52,12 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--learning-rate", type=float)
     parser.add_argument("--base-seed", type=int)
     parser.add_argument("--train-fraction", type=float)
-    parser.add_argument("--clip-norm", type=float)
     parser.add_argument("--data-seed", type=int)
     parser.add_argument("--data-steps", type=int)
-    parser.add_argument("--data-stride", type=int)
     parser.add_argument("--data-limit", type=int)
     parser.add_argument("--data-offset", type=int)
-    parser.add_argument("--lorenz-component", choices=["x", "y", "z"])
     parser.add_argument("--denormalized-metrics", action="store_true",
                         default=None)
-    parser.add_argument("--clip-negative", action="store_true", default=None)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--out", dest="output_dir")
 
@@ -106,7 +102,7 @@ def _cmd_generate(args) -> int:
     if args.generator == "mackey-glass":
         series = gen_mackey_glass(params, args.seed)
     else:
-        series, _ = gen_lorenz(params, args.seed)
+        series = gen_lorenz(params, args.seed)
     out = resolve_output_dir(args.out)
     write_series_csv(out, series)
     print(f"wrote {series.length} rows to {out}")

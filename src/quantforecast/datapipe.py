@@ -134,10 +134,10 @@ def gen_mackey_glass(params: MackeyGlassParams, seed: int) -> RawSeries:
                      values=path[delay_steps:])
 
 
-def gen_lorenz(params: LorenzParams, seed: int) -> tuple[RawSeries, RawSeries]:
+def gen_lorenz(params: LorenzParams, seed: int) -> RawSeries:
     """RK4 integration of the Lorenz system at fixed dt, stepped on Python
-    floats. Returns the selected component as a univariate series plus
-    the full 3-column series. The seed jitters the initial state."""
+    floats; returns the selected component, and raises NumericalError if
+    any component goes non-finite. The seed jitters the initial state."""
     rng = SeededRng(seed)
     state = np.asarray(params.initial, dtype=np.float64)
     x, y, z = (state + rng.uniform(-params.jitter, params.jitter, 3)).tolist()
@@ -158,26 +158,21 @@ def gen_lorenz(params: LorenzParams, seed: int) -> tuple[RawSeries, RawSeries]:
         z = z + dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
         rows.append((x, y, z))
     out = np.array(rows)
-
-    full = RawSeries(name="lorenz", columns=["x", "y", "z"], values=out)
-    col = ("x", "y", "z").index(params.component)
-    uni = RawSeries(name=f"lorenz-{params.component}", columns=["value"],
-                    values=out[:, col])
-    return uni, full
+    if not np.isfinite(out).all():
+        raise NumericalError("series 'lorenz' contains non-finite values")
+    return RawSeries(name=f"lorenz-{params.component}", columns=["value"],
+                     values=out[:, "xyz".index(params.component)])
 
 
-def downsample(series: RawSeries, stride: int, limit: int | None = None,
+def downsample(series: RawSeries, limit: int | None = None,
                offset: int = 0) -> RawSeries:
-    """Every stride-th observation starting at offset, optionally truncated
-    to a row limit. Offsetting past the warm-up transient is conventional
-    for chaotic generators."""
-    values = series.values[offset::stride]
-    index = series.index[offset::stride]
-    if limit is not None:
-        values = values[:limit]
-        index = index[:limit]
+    """The observations from offset on, optionally truncated to a row
+    limit. Offsetting past the warm-up transient is conventional for
+    chaotic generators."""
+    stop = None if limit is None else offset + limit
     return RawSeries(name=series.name, columns=list(series.columns),
-                     values=values.copy(), index=list(index))
+                     values=series.values[offset:stop].copy(),
+                     index=series.index[offset:stop])
 
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y", "%Y-%m-%d %H:%M:%S")

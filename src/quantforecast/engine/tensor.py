@@ -39,9 +39,6 @@ class SeededRng:
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

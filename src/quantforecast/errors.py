@@ -31,7 +31,7 @@ class ConfigError(ForecastError):
     """Inconsistent or out-of-range configuration."""
 
 
-class InvalidQuantile(ForecastError):
+class InvalidQuantile(ConfigError):
     """Quantile level outside the open interval (0, 1) or not increasing."""
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 import types
@@ -74,18 +73,13 @@ class ExperimentConfig:
     runs: int = 30
     base_seed: int = 0
     train_fraction: float = 0.8
-    clip_norm: float | None = None
     csv_path: str | None = None
     data_seed: int = 0
     data_steps: int | None = None
-    data_stride: int = 1
     data_limit: int | None = None
     data_offset: int = 0
-    lorenz_component: str = "x"
     denormalized_metrics: bool = False
-    clip_negative: bool = False
     linear_iterations: int = 5000
-    linear_learning_rate: float = 0.05
     workers: int = 1
     output_dir: str = "."
 
@@ -110,9 +104,6 @@ class ExperimentConfig:
         if not 0 <= self.data_seed < 2**64:
             raise ConfigError(f"data seed must lie in [0, 2**64), "
                               f"got {self.data_seed}")
-        if self.data_stride < 1:
-            raise ConfigError(f"data stride must be >= 1, "
-                              f"got {self.data_stride}")
         if self.data_limit is not None and self.data_limit < 1:
             raise ConfigError(f"data limit must be >= 1, "
                               f"got {self.data_limit}")
@@ -122,10 +113,6 @@ class ExperimentConfig:
         if self.linear_iterations < 1:
             raise ConfigError(f"linear iterations must be >= 1, "
                               f"got {self.linear_iterations}")
-        if not (math.isfinite(self.linear_learning_rate)
-                and self.linear_learning_rate > 0):
-            raise ConfigError(f"linear_learning_rate must be finite and "
-                              f"positive, got {self.linear_learning_rate}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -205,7 +192,7 @@ def build_series(config: ExperimentConfig) -> RawSeries:
     if config.dataset == "mackey-glass":
         series = gen_mackey_glass(params, config.data_seed)
     elif config.dataset == "lorenz":
-        series, _ = gen_lorenz(params, config.data_seed)
+        series = gen_lorenz(params, config.data_seed)
     else:
         if config.dataset in ("bitcoin", "ethereum"):
             schema = "market"
@@ -215,9 +202,8 @@ def build_series(config: ExperimentConfig) -> RawSeries:
             schema = _sniff_schema(config.csv_path)
         series = load_csv(config.csv_path, schema=schema,
                           name=config.dataset)
-    if config.data_stride > 1 or config.data_limit or config.data_offset:
-        series = downsample(series, config.data_stride, config.data_limit,
-                            config.data_offset)
+    if config.data_limit or config.data_offset:
+        series = downsample(series, config.data_limit, config.data_offset)
     if config.strategy == "univariate" and series.values.shape[1] > 1:
         target = "close" if "close" in series.columns else series.columns[0]
         col = series.columns.index(target)
@@ -233,7 +219,7 @@ def _generator_params(config: ExperimentConfig):
     if config.dataset == "mackey-glass":
         return MackeyGlassParams(**steps)
     if config.dataset == "lorenz":
-        return LorenzParams(component=config.lorenz_component, **steps)
+        return LorenzParams(**steps)
     return None
 
 
@@ -256,8 +242,7 @@ def _train_config(config: ExperimentConfig) -> TrainConfig:
     return TrainConfig(
         epochs=config.epochs, batch_size=config.batch_size,
         learning_rate=config.learning_rate,
-        loss="quantile" if config.quantile else "mse",
-        clip_norm=config.clip_norm)
+        loss="quantile" if config.quantile else "mse")
 
 
 def run_single(config: ExperimentConfig, series: RawSeries,
@@ -273,8 +258,7 @@ def run_single(config: ExperimentConfig, series: RawSeries,
         if config.quantile:
             fitted = baselines.fit_quantile_linear(
                 dataset, config.quantiles,
-                iterations=config.linear_iterations,
-                learning_rate=config.linear_learning_rate)
+                iterations=config.linear_iterations)
         else:
             fitted = baselines.fit_ols(dataset)
         predictions = baselines.predict(fitted, dataset.test_inputs)
@@ -286,8 +270,6 @@ def run_single(config: ExperimentConfig, series: RawSeries,
         predictions = forward_pass(model.frozen(), dataset.test_inputs).data
 
     targets = dataset.test_targets
-    if config.clip_negative:
-        predictions = np.maximum(predictions, 0.0)
     if config.denormalized_metrics:
         targets = dataset.denormalize_targets(targets)
         predictions = dataset.denormalize_targets(predictions)

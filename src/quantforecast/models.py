@@ -91,9 +91,6 @@ class Model:
         self.spec = spec
         self.params = params
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def frozen(self) -> "Model":
         """A view sharing these weights through which no op records a
         tape, for predictions that no backward() consumes."""

@@ -74,7 +74,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     loss: str = "quantile"
-    clip_norm: float | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -84,12 +83,8 @@ class TrainConfig:
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.loss!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning rate must be finite and positive, "
+            raise ConfigError(f"learning_rate must be finite and positive, "
                               f"got {self.learning_rate}")
-        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
-                                               and self.clip_norm > 0):
-            raise ConfigError(f"clip norm must be finite and positive, "
-                              f"got {self.clip_norm}")
 
 
 @dataclass
@@ -101,20 +96,12 @@ class TrainResult:
 def _batch_loss(model: Model, inputs: np.ndarray, targets: np.ndarray,
                 kind: str) -> LossValue:
     pred = forward_pass(model, inputs)
-    if kind == "quantile":
-        return quantile_loss_batch(targets, pred, model.spec.quantiles)
-    return mse_loss_batch(targets, pred)
-
-
-def _clip_gradients(params: dict[str, Tensor],
-                    grads: dict[Tensor, np.ndarray],
-                    max_norm: float) -> dict[Tensor, np.ndarray]:
-    total = np.sqrt(sum(float(np.sum(grads[p] ** 2))
-                        for p in params.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
-    factor = max_norm / total
-    return {p: grads[p] * factor for p in params.values()}
+    try:
+        if kind == "quantile":
+            return quantile_loss_batch(targets, pred, model.spec.quantiles)
+        return mse_loss_batch(targets, pred)
+    except NumericalError as exc:
+        raise NumericalError(f"{model.spec.family} loss: {exc}") from exc
 
 
 def train(model: Model, dataset, config: TrainConfig,
@@ -143,9 +130,6 @@ def train(model: Model, dataset, config: TrainConfig,
                 value = _batch_loss(model, inputs[index], targets[index],
                                     config.loss)
                 grads = backward(value.node, params=list(model.params.values()))
-                if config.clip_norm is not None:
-                    grads = _clip_gradients(model.params, grads,
-                                            config.clip_norm)
                 adam_step(model.params, grads, adam)
             except NumericalError as exc:
                 raise TrainingDiverged(

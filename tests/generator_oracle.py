@@ -35,8 +35,8 @@ def mackey_glass_values(params: MackeyGlassParams, seed: int) -> np.ndarray:
 
 
 def lorenz_values(params: LorenzParams, seed: int) -> np.ndarray:
-    """The (steps, 3) trajectory of `gen_lorenz`, each RK4 stage on a
-    3-element numpy array."""
+    """The (steps, 3) trajectory that `gen_lorenz` takes its component
+    from, each RK4 stage on a 3-element numpy array."""
     rng = SeededRng(seed)
     state = np.asarray(params.initial, dtype=np.float64)
     state = state + rng.uniform(-params.jitter, params.jitter, 3)

@@ -51,7 +51,7 @@ class TestGenerate:
         out = tmp_path / "lz.csv"
         assert main(["generate", "lorenz", "--steps", "50",
                      "--out", str(out)]) == 0
-        expected, _ = gen_lorenz(LorenzParams(steps=50), seed=0)
+        expected = gen_lorenz(LorenzParams(steps=50), seed=0)
         assert np.array_equal(load_csv(out, "univariate").values,
                               expected.values)
 
@@ -146,6 +146,23 @@ class TestExperimentCommand:
         assert "config error" in err and "epoch" in err
         assert not (tmp_path / "config.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("clip_norm", 1.0), ("clip_negative", True), ("data_stride", 2),
+        ("lorenz_component", "y"), ("linear_learning_rate", 0.05)])
+    def test_removed_config_file_key_exit_1(self, tmp_path, capsys, key,
+                                            value):
+        # an old file never silently runs a campaign other than it names
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"dataset": "mackey-glass",
+                                    "family": "linear", key: value}))
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--config", str(path), "--runs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
     def test_invalid_combination_exit_1(self, tmp_path, capsys):
         code = main(["experiment", "--dataset", "mackey-glass",
                      "--family", "linear", "--strategy", "multivariate",
@@ -154,9 +171,9 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("bad", [
         ["--epochs", "0"], ["--epochs", "1", "--batch-size", "0"],
-        ["--clip-norm", "-1"], ["--clip-norm", "0"],
-        ["--learning-rate", "nan"], ["--learning-rate", "inf"],
-        ["--clip-norm", "nan"]])
+        ["--learning-rate", "0"], ["--learning-rate", "nan"],
+        ["--learning-rate", "inf"], ["--quantiles", "0.5", "1.5"],
+        ["--quantiles", "nan", "0.5"]])
     def test_bad_training_numbers_exit_1_before_any_run(self, tmp_path,
                                                          capsys, bad):
         out = tmp_path / "campaign"
@@ -168,7 +185,7 @@ class TestExperimentCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [
-        ["--data-steps", "0"], ["--data-stride", "0"],
+        ["--data-steps", "0"], ["--train-fraction", "1"],
         ["--data-limit", "-50"], ["--data-offset", "-60"],
         ["--data-seed", "-1"], ["--base-seed", "-1"], ["--window", "0"],
         ["--horizons", "0"], ["--hidden1", "0"], ["--workers", "0"],
@@ -201,7 +218,7 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("key, value", [
         ("window", "5"), ("quantiles", 5), ("quantile", "no"),
         ("epochs", True), ("learning_rate", "0.1"),
-        ("linear_learning_rate", float("nan"))])
+        ("learning_rate", float("nan"))])
     def test_mistyped_config_value_exit_1(self, tmp_path, capsys, key,
                                           value):
         path = tmp_path / "exp.json"
@@ -223,10 +240,9 @@ class TestExperimentCommand:
             strategy="multivariate", quantile=True, quantiles=(0.1, 0.5, 0.9),
             window=7, horizons=3, hidden1=4, hidden2=6, epochs=2,
             batch_size=8, learning_rate=0.01, base_seed=5,
-            train_fraction=0.7, clip_norm=1.5, data_seed=9, data_steps=400,
-            data_stride=2, data_limit=300, data_offset=10,
-            lorenz_component="z", denormalized_metrics=True,
-            clip_negative=True, workers=2, output_dir=out, runs=4)
+            train_fraction=0.7, data_seed=9, data_steps=400, data_limit=300,
+            data_offset=10, denormalized_metrics=True, workers=2,
+            output_dir=out, runs=4)
         argv = ["experiment", "--name", "n", "--dataset", "csv",
                 "--csv-path", "x.csv", "--family", "lstm",
                 "--strategy", "multivariate", "--quantile",
@@ -234,11 +250,9 @@ class TestExperimentCommand:
                 "--horizons", "3", "--hidden1", "4", "--hidden2", "6",
                 "--epochs", "2", "--batch-size", "8",
                 "--learning-rate", "0.01", "--base-seed", "5",
-                "--train-fraction", "0.7", "--clip-norm", "1.5",
-                "--data-seed", "9", "--data-steps", "400",
-                "--data-stride", "2", "--data-limit", "300",
-                "--data-offset", "10", "--lorenz-component", "z",
-                "--denormalized-metrics", "--clip-negative",
+                "--train-fraction", "0.7", "--data-seed", "9",
+                "--data-steps", "400", "--data-limit", "300",
+                "--data-offset", "10", "--denormalized-metrics",
                 "--workers", "2", "--out", out, "--runs", "4"]
         args = build_parser().parse_args(argv)
         dests = {a.dest for a in experiment_actions()} - {"help", "config"}

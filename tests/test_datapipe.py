@@ -2,7 +2,9 @@
 their numpy-stepped reference; CSV ingestion; window and split
 properties."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,37 +80,44 @@ class TestMackeyGlass:
 
 class TestLorenz:
     def test_requested_length_and_full_series(self):
-        uni, full = gen_lorenz(LorenzParams(steps=1000), seed=0)
-        assert uni.length == 1000
-        assert full.values.shape == (1000, 3)
-        assert uni.columns == ["value"]
-        assert np.array_equal(uni.values[:, 0], full.values[:, 0])
+        # the three components, one request each, make up the trajectory
+        parts = [gen_lorenz(LorenzParams(steps=1000, component=c), seed=0)
+                 for c in "xyz"]
+        assert [(p.length, p.columns) for p in parts] == [(1000, ["value"])] * 3
+        full = np.hstack([p.values for p in parts])
+        assert np.array_equal(full,
+                              lorenz_values(LorenzParams(steps=1000), 0))
 
     def test_sigma_zero_freezes_x(self):
         params = LorenzParams(sigma=0.0, steps=500, jitter=0.0)
-        uni, _ = gen_lorenz(params, seed=0)
+        uni = gen_lorenz(params, seed=0)
         assert np.allclose(uni.values, params.initial[0], atol=1e-12)
 
     def test_component_selector(self):
-        _, full = gen_lorenz(LorenzParams(steps=300, component="z"), seed=4)
-        uni, _ = gen_lorenz(LorenzParams(steps=300, component="z"), seed=4)
-        assert np.array_equal(uni.values[:, 0], full.values[:, 2])
+        params = LorenzParams(steps=300, component="z")
+        uni = gen_lorenz(params, seed=4)
+        assert uni.name == "lorenz-z"
+        assert np.array_equal(uni.values[:, 0],
+                              lorenz_values(params, 4)[:, 2])
 
     def test_step_halving_oracle(self):
         # Richardson-style check: halving dt and resampling must leave the
         # first 100 sampled points nearly unchanged
-        coarse, _ = gen_lorenz(LorenzParams(steps=101, dt=0.01, jitter=0.0),
-                               seed=0)
-        fine, _ = gen_lorenz(LorenzParams(steps=201, dt=0.005, jitter=0.0),
-                             seed=0)
+        coarse = gen_lorenz(LorenzParams(steps=101, dt=0.01, jitter=0.0),
+                            seed=0)
+        fine = gen_lorenz(LorenzParams(steps=201, dt=0.005, jitter=0.0),
+                          seed=0)
         resampled = fine.values[::2][:101]
         assert np.max(np.abs(coarse.values - resampled)) < 1e-3
 
     def test_downsample(self):
-        uni, _ = gen_lorenz(LorenzParams(steps=1000), seed=0)
-        ds = downsample(uni, stride=3, limit=300)
+        uni = gen_lorenz(LorenzParams(steps=1000), seed=0)
+        uni.index = [str(i) for i in range(1000)]
+        ds = downsample(uni, limit=300, offset=100)
         assert ds.length == 300
-        assert np.array_equal(ds.values[:, 0], uni.values[::3][:300, 0])
+        assert np.array_equal(ds.values, uni.values[100:400])
+        assert ds.index == uni.index[100:400]
+        assert downsample(uni, offset=990).length == 10
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_non_positive_step_rejected(self, dt):
@@ -121,12 +130,12 @@ class TestLorenz:
             want = lorenz_values(LorenzParams(dt=dt, steps=steps), seed)
             for col, component in enumerate("xyz"):
                 params = LorenzParams(dt=dt, steps=steps, component=component)
-                uni, full = gen_lorenz(params, seed)
-                assert full.values.tobytes() == want.tobytes(), params
+                uni = gen_lorenz(params, seed)
                 assert uni.values.tobytes() == want[:, col].tobytes(), params
-        params = LorenzParams(sigma=0, steps=1000)
-        assert (gen_lorenz(params, seed)[1].values.tobytes()
-                == lorenz_values(params, seed).tobytes())
+        for col, component in enumerate("xyz"):
+            params = LorenzParams(sigma=0, steps=1000, component=component)
+            assert (gen_lorenz(params, seed).values.tobytes()
+                    == lorenz_values(params, seed)[:, col].tobytes())
 
     def test_diverging_series_is_numerical_error(self):
         with pytest.raises(NumericalError, match="'lorenz'"):
@@ -200,7 +209,8 @@ class TestLoadCsv:
         assert loaded.index == [str(i) for i in range(50)]
 
     def test_writer_cells_are_float_reprs(self, tmp_path):
-        _, series = gen_lorenz(LorenzParams(steps=300), seed=2)
+        series = RawSeries(name="lorenz", columns=["x", "y", "z"],
+                           values=lorenz_values(LorenzParams(steps=300), 2))
         path = tmp_path / "lz.csv"
         write_series_csv(path, series)
         rows = [["Date", "X", "Y", "Z"]]
@@ -208,6 +218,24 @@ class TestLoadCsv:
                  for i, row in enumerate(series.values)]
         expected = "".join(",".join(row) + "\r\n" for row in rows)
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_converted_sunspot_file_loads(self, tmp_path):
+        # scripts/fetch_sunspot.py: SILSO rows (year; month; decimal year;
+        # value; ...) to the univariate schema, missing months (-1) dropped
+        script = Path(__file__).parents[1] / "scripts" / "fetch_sunspot.py"
+        spec = importlib.util.spec_from_file_location("fetch_sunspot", script)
+        fetch_sunspot = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fetch_sunspot)
+        silso = write_csv(tmp_path / "SN_m_tot_V2.0.csv",
+                          "1749;   1;1749.042;   96.7; -1.0;   -1;1\n"
+                          "1749;   2;1749.123;   -1  ; -1.0;   -1;1\n"
+                          "1749;   3;1749.204;   94.0; -1.0;   -1;1\n"
+                          "1749;  10;1749.789;  107.0; -1.0;   -1;1\n")
+        out = tmp_path / "sunspot.csv"
+        assert fetch_sunspot.convert(str(silso), str(out)) == 3
+        series = load_csv(out, schema="univariate")
+        assert series.index == ["1749-01-01", "1749-03-01", "1749-10-01"]
+        assert series.values[:, 0].tolist() == [96.7, 94.0, 107.0]
 
 
 class TestMakeWindows:

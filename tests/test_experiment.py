@@ -18,7 +18,7 @@ def tiny_config(tmp_path, **kw):
     fields = dict(name="tiny", dataset="mackey-glass", family="linear",
                   quantile=True, runs=3, base_seed=0, data_steps=240,
                   window=5, horizons=3, linear_iterations=300,
-                  linear_learning_rate=0.05, output_dir=str(tmp_path))
+                  output_dir=str(tmp_path))
     fields.update(kw)
     return ExperimentConfig(**fields)
 
@@ -68,20 +68,19 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", [
         dict(epochs=0), dict(batch_size=0), dict(learning_rate=0.0),
-        dict(clip_norm=0.0), dict(clip_norm=-1.0)])
+        dict(learning_rate=-1e-3), dict(learning_rate=float("inf"))])
     def test_bad_training_numbers_rejected_at_construction(self, tmp_path,
                                                             bad):
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, family="lstm", **bad)
 
     @pytest.mark.parametrize("bad", [
-        dict(data_steps=0), dict(data_steps=5), dict(data_stride=0),
+        dict(data_steps=0), dict(data_steps=5), dict(runs=0),
         dict(data_limit=-50), dict(data_limit=0), dict(data_offset=-60),
         dict(data_seed=-1), dict(base_seed=-1), dict(base_seed=2**64 - 2),
         dict(window=0), dict(window=1), dict(horizons=0), dict(workers=0),
-        dict(linear_iterations=0), dict(linear_learning_rate=0.0),
-        dict(linear_learning_rate=-0.05),
-        dict(dataset="lorenz", lorenz_component="w")])
+        dict(linear_iterations=0), dict(train_fraction=0.0),
+        dict(train_fraction=1.0), dict(data_seed=2**64)])
     def test_bad_campaign_numbers_rejected_at_construction(self, tmp_path,
                                                            bad):
         with pytest.raises(ConfigError):
@@ -101,7 +100,7 @@ class TestConfigValidation:
         # an int stands in a float field; None where the field allows it;
         # a list for the quantile levels
         config = tiny_config(tmp_path, learning_rate=1, train_fraction=0.5,
-                             clip_norm=None, window=None,
+                             data_limit=None, window=None,
                              quantiles=[0.25, 0.5, 0.75])
         assert config.quantiles == (0.25, 0.5, 0.75)
 
@@ -127,10 +126,13 @@ class TestBuildSeries:
         assert not np.array_equal(a.values, c.values)
 
     def test_lorenz_downsampling(self, tmp_path):
+        full = build_series(tiny_config(tmp_path, dataset="lorenz",
+                                        data_steps=900))
         config = tiny_config(tmp_path, dataset="lorenz", data_steps=900,
-                             data_stride=3, data_limit=250)
+                             data_offset=300, data_limit=250)
         series = build_series(config)
         assert series.length == 250
+        assert np.array_equal(series.values, full.values[300:550])
 
     def test_univariate_strategy_on_market_csv(self, tmp_path):
         csv = tmp_path / "m.csv"

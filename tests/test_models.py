@@ -84,15 +84,16 @@ class TestLstmCell:
 
     def test_matches_straight_line_oracle(self):
         rng = SeededRng(3)
+        normal = np.random.default_rng(3).standard_normal
         hidden = 2
         params = {
             "w_x": tensor_new([2, 4 * hidden], "glorot", rng=rng),
             "w_h": tensor_new([hidden, 4 * hidden], "glorot", rng=rng),
-            "b": Tensor(rng.standard_normal((4 * hidden,))),
+            "b": Tensor(normal((4 * hidden,))),
         }
         x = np.array([[1.0, -1.0]])
-        h_prev = rng.standard_normal((1, hidden))
-        c_prev = rng.standard_normal((1, hidden))
+        h_prev = normal((1, hidden))
+        c_prev = normal((1, hidden))
         h, c = lstm_cell_step(Tensor(x), Tensor(h_prev), Tensor(c_prev), params)
         h_ref, c_ref = reference_lstm_step(
             x, h_prev, c_prev, params["w_x"].data, params["w_h"].data,
@@ -199,7 +200,7 @@ class TestParameterCounts:
         spec = ModelSpec(family=family, features=f, window=6, horizons=5,
                          hidden1=h1, hidden2=h2, quantiles=quantiles)
         model = build_model(spec, SeededRng(0))
-        assert model.parameter_count() == expected
+        assert sum(p.size for p in model.params.values()) == expected
 
 
 class TestForwardPass:
