@@ -29,6 +29,16 @@ from .gradsuite import run_suite
 from .models import FAMILIES
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line mistake (an unknown flag, a value of the
+    wrong type) as a ConfigError, so it exits 1 like the same mistake in a
+    config file. --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with experiment fields")
     parser.add_argument("--name")
@@ -150,7 +160,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quantforecast",
         description="Quantile sequence forecasting experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -308,18 +308,17 @@ class WindowedDataset:
 
     def denormalize_targets(self, arr: np.ndarray) -> np.ndarray:
         """Inverse of the target-column min-max map."""
-        if self.train_idx is None:
-            return np.asarray(arr, dtype=np.float64)
+        self._require_split()
         lo = self.series_min[self.target_index]
         hi = self.series_max[self.target_index]
         return np.asarray(arr, dtype=np.float64) * (hi - lo) + lo
 
 
-def make_windows(series: RawSeries, window: int, horizons: int,
-                 target_column: str | None = None) -> WindowedDataset:
+def make_windows(series: RawSeries, window: int,
+                 horizons: int) -> WindowedDataset:
     """Slide a (window, horizons) frame over the series: N = T - d - m + 1
-    aligned pairs. Inputs keep all features; targets take one column
-    (default "close" when present, otherwise the only column)."""
+    aligned pairs. Inputs keep all features; targets take one column,
+    "close" when present, otherwise the first."""
     d, m = int(window), int(horizons)
     if d < 2 or m < 1:
         raise ConfigError(f"need window >= 2 and horizons >= 1, got d={d} m={m}")
@@ -327,12 +326,8 @@ def make_windows(series: RawSeries, window: int, horizons: int,
     if t_len <= d + m:
         raise InsufficientData(
             f"series length {t_len} too short for window {d} + horizons {m}")
-    if target_column is None:
-        target_column = "close" if "close" in series.columns else series.columns[0]
-    if target_column not in series.columns:
-        raise ConfigError(f"target column {target_column!r} not in "
-                          f"{series.columns}")
-    target_index = series.columns.index(target_column)
+    target_index = (series.columns.index("close")
+                    if "close" in series.columns else 0)
 
     # Window i covers rows i .. i+d-1; its targets are rows i+d .. i+d+m-1.
     inputs = sliding_window_view(series.values[:t_len - m], d, axis=0)

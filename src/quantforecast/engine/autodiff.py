@@ -10,29 +10,15 @@ from ..errors import NotScalar
 from .tensor import Tensor
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node.node_id in visited:
-            continue
-        visited.add(node.node_id)
-        stack.append((node, True))
-        for parent in node.parents:
-            if parent.node_id not in visited:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     """Gradients of a scalar loss w.r.t. every trainable leaf it reaches,
     keyed by the leaf tensor. Parameters passed in but unreachable from the
     loss get a zero gradient of the matching shape.
+
+    Nodes are visited by descending node id. An op draws its id after
+    its parents', so that order is topological: every consumer of a node
+    hands back its gradient before the node passes it on, and a node's
+    contributions are summed in descending consumer-id order.
 
     The recorded graph is consumed: op nodes drop their parents and
     closures afterwards, so a second reverse pass through the same nodes
@@ -43,14 +29,22 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     if loss.consumed:
         raise RuntimeError("graph already consumed by a previous backward()")
 
-    order = _topo_order(loss)
+    reachable = {loss.node_id: loss}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent.node_id not in reachable:
+                reachable[parent.node_id] = parent
+                stack.append(parent)
+
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones(loss.shape)}
     # Sums this pass allocated itself; only these are added to in place,
     # since a gradient an op hands back may be a view shared with others.
     owned: set[int] = set()
     table: dict[Tensor, np.ndarray] = {}
-    for node in reversed(order):
-        g = grads.pop(node.node_id, None)
+    for node_id in sorted(reachable, reverse=True):
+        node = reachable[node_id]
+        g = grads.pop(node_id, None)
         if g is None:
             continue
         if node.backward_fn is None:
@@ -70,7 +64,7 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
                 grads[key] = acc + pg
                 owned.add(key)
 
-    for node in order:
+    for node in reachable.values():
         if node.backward_fn is not None:
             node.consumed = True
             node.parents = ()

@@ -112,8 +112,7 @@ def check_all_families(seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
     return reports
 
 
-def run_suite(seed: int = 0, tol: float = 1e-4,
-              verbose: bool = True) -> bool:
+def run_suite(seed: int = 0, tol: float = 1e-4) -> bool:
     """Run both halves and print one line per checked block."""
     ok = True
     for section, reports in (("op", check_all_ops(seed, tol=tol)),
@@ -121,7 +120,6 @@ def run_suite(seed: int = 0, tol: float = 1e-4,
         for name, rep in sorted(reports.items()):
             status = "PASS" if rep.passed else "FAIL"
             ok = ok and rep.passed
-            if verbose:
-                print(f"{status} {section} {name}: "
-                      f"max rel err {rep.max_rel_err:.3e}")
+            print(f"{status} {section} {name}: "
+                  f"max rel err {rep.max_rel_err:.3e}")
     return ok

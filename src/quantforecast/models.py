@@ -51,6 +51,8 @@ from .errors import ConfigError, NumericalError, ShapeError
 from .losses import check_quantiles
 
 FAMILIES = ("lstm", "bdlstm", "edlstm", "convlstm", "linear")
+# The convlstm kernel spans two time steps; a window has at least two.
+CONV_KERNEL = 2
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class ModelSpec:
     hidden2: int
     quantiles: tuple[float, ...] = (0.5,)
     conv_filters: int = 64
-    conv_kernel: int = 2
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -75,8 +76,6 @@ class ModelSpec:
                 f"f={self.features}, d={self.window}, m={self.horizons}")
         if self.hidden1 < 1 or self.hidden2 < 1:
             raise ConfigError("hidden sizes must be >= 1")
-        if self.family == "convlstm" and self.conv_kernel > self.window:
-            raise ConfigError("conv kernel longer than the window")
         object.__setattr__(self, "quantiles", check_quantiles(self.quantiles))
 
     @property
@@ -140,9 +139,9 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
         _head_params(rng, h2, k, params)
     elif spec.family == "convlstm":
         if f == 1:
-            kernel_shape = [spec.conv_kernel, 1, spec.conv_filters]
+            kernel_shape = [CONV_KERNEL, 1, spec.conv_filters]
         else:
-            kernel_shape = [spec.conv_kernel, f, 1, spec.conv_filters]
+            kernel_shape = [CONV_KERNEL, f, 1, spec.conv_filters]
         params["conv.w"] = tensor_new(kernel_shape, "glorot", rng=rng,
                                       requires_grad=True, name="conv.w")
         params["conv.b"] = tensor_new([spec.conv_filters], "zeros",
@@ -275,7 +274,7 @@ def forward_pass(model: Model, window_batch) -> Tensor:
             stage = "conv"
             w = params["conv.w"]
             if spec.features > 1:  # (k, f, 1, filters) -> (k, f, filters)
-                w = reshape(w, (spec.conv_kernel, spec.features,
+                w = reshape(w, (CONV_KERNEL, spec.features,
                                 spec.conv_filters))
             conv = relu(add(conv1d(x, w), params["conv.b"]))
             stage = "lstm1"

@@ -20,14 +20,16 @@ from .models import Model, forward_pass
 
 LOSS_KINDS = ("quantile", "mse")
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """Adaptive moment estimates keyed by parameter name."""
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -38,8 +40,8 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
     """One bias-corrected Adam update, in place on the parameter tensors."""
     state.step += 1
     t = state.step
-    scale1 = 1.0 - state.beta1 ** t
-    scale2 = 1.0 - state.beta2 ** t
+    scale1 = 1.0 - BETA1 ** t
+    scale2 = 1.0 - BETA2 ** t
     for name in params:
         p = params[name]
         g = grads[p]
@@ -51,11 +53,11 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros(p.shape)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
         g2 = g * g
-        g2 *= 1.0 - state.beta2
+        g2 *= 1.0 - BETA2
         v += g2
         # lr * m_hat / (sqrt(v_hat) + eps), evaluated in that order with
         # two scratch arrays instead of six.
@@ -63,7 +65,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
         step *= state.learning_rate
         denom = v / scale2
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         step /= denom
         p.data -= step
 
@@ -89,7 +91,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    model: Model
     epoch_losses: list[float]
 
 
@@ -136,4 +137,4 @@ def train(model: Model, dataset, config: TrainConfig,
                     f"training diverged at epoch {epoch}: {exc}") from exc
             epoch_sum += value.total * len(index)
         losses.append(epoch_sum / n)
-    return TrainResult(model=model, epoch_losses=losses)
+    return TrainResult(epoch_losses=losses)

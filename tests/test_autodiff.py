@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from quantforecast import training
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, backward,
                                   concat, conv1d, grad_check, hadamard,
                                   matmul, pinball_branch, reduce_mean,
                                   reshape, sigmoid, slice_axis, sub, tanh,
                                   tensor_new)
+from quantforecast.engine.tensor import _op_result
 from quantforecast.errors import NotScalar
 from quantforecast.gradsuite import check_all_families, check_all_ops
-from quantforecast.models import FAMILIES
+from quantforecast.models import FAMILIES, ModelSpec, build_model
 
 
 def central_difference(loss_fn, param, h=1e-5):
@@ -116,6 +118,50 @@ class TestBackwardBasics:
         backward(loss, [p])
         with pytest.raises(RuntimeError):
             backward(loss, [p])
+
+
+class TestVisitOrder:
+    def test_contributions_sum_in_descending_consumer_id_order(self):
+        # Three consumers hand p fixed gradients whose float sum depends on
+        # the order: by descending id (-1e16 + 1e16) + 1.0 = 1.0, where
+        # ascending id gives (1.0 + 1e16) - 1e16 = 0.0. The loss wires
+        # them in neither order.
+        p = Tensor([0.0], requires_grad=True)
+        consumers = [_op_result(np.zeros(1), "probe", (p,),
+                                lambda g, v=v: [(p, np.array([v]))])
+                     for v in (1.0, 1e16, -1e16)]
+        loss = reduce_mean(add(add(consumers[2], consumers[0]),
+                               consumers[1]))
+        assert backward(loss, [p])[p].tolist() == [(-1e16 + 1e16) + 1.0]
+
+    def test_every_op_id_exceeds_its_parents_ids(self, monkeypatch,
+                                                  mg_dataset):
+        # Descending id is a topological order only if every recorded op
+        # drew its id after its parents' ids.
+        steps = []
+        real_backward = training.backward
+
+        def checking_backward(loss, params=None):
+            stack, seen = [loss], set()
+            while stack:
+                node = stack.pop()
+                if node.node_id not in seen:
+                    seen.add(node.node_id)
+                    assert all(node.node_id > parent.node_id
+                               for parent in node.parents), node
+                    stack.extend(node.parents)
+            steps.append(len(seen))
+            return real_backward(loss, params)
+
+        monkeypatch.setattr(training, "backward", checking_backward)
+        for family in FAMILIES:
+            spec = ModelSpec(family=family, features=1, window=5, horizons=3,
+                             hidden1=3, hidden2=3,
+                             quantiles=(0.25, 0.5, 0.75))
+            training.train(build_model(spec, SeededRng(0)), mg_dataset,
+                           training.TrainConfig(epochs=1, batch_size=512),
+                           SeededRng(1))
+        assert len(steps) == len(FAMILIES) and min(steps) > 1
 
 
 class TestFiniteDifferenceOracle:

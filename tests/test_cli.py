@@ -173,7 +173,8 @@ class TestExperimentCommand:
         ["--epochs", "0"], ["--epochs", "1", "--batch-size", "0"],
         ["--learning-rate", "0"], ["--learning-rate", "nan"],
         ["--learning-rate", "inf"], ["--quantiles", "0.5", "1.5"],
-        ["--quantiles", "nan", "0.5"]])
+        ["--quantiles", "nan", "0.5"], ["--clip-norm", "1"],
+        ["--epochs", "abc"]])
     def test_bad_training_numbers_exit_1_before_any_run(self, tmp_path,
                                                          capsys, bad):
         out = tmp_path / "campaign"
@@ -181,8 +182,16 @@ class TestExperimentCommand:
                      "--family", "lstm", "--runs", "2",
                      "--data-steps", "100", "--out", str(out)] + bad)
         assert code == 1
-        assert "config error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: quantforecast experiment")
 
     @pytest.mark.parametrize("bad", [
         ["--data-steps", "0"], ["--train-fraction", "1"],

@@ -264,16 +264,18 @@ class TestMakeWindows:
         values = rng.normal(size=(40, 3))
         series = RawSeries("s", ["a", "b", "c"], values)
         d, m = 5, 4
-        ds = make_windows(series, d, m, target_column="b")
+        ds = make_windows(series, d, m)
         assert ds.inputs.flags.c_contiguous and ds.targets.flags.c_contiguous
+        # with no "close" column the target is the first column
+        assert ds.target_index == 0
         for i in range(ds.count):
             assert np.array_equal(ds.inputs[i], values[i:i + d])
-            assert np.array_equal(ds.targets[i], values[i + d:i + d + m, 1])
+            assert np.array_equal(ds.targets[i], values[i + d:i + d + m, 0])
 
     def test_multivariate_keeps_features_targets_one_column(self, rng):
         values = rng.normal(size=(30, 5))
         series = RawSeries("s", list("abcde"), values)
-        ds = make_windows(series, 4, 2, target_column="d")
+        ds = make_windows(series, 4, 2)
         assert ds.inputs.shape == (25, 4, 5)
         assert ds.targets.shape == (25, 2)
 
@@ -303,7 +305,10 @@ class TestNormalizeAndSplit:
     def test_roundtrip_inverse(self, rng):
         values = rng.uniform(5.0, 9.0, size=80)
         series = RawSeries("s", ["value"], values)
-        ds = normalize_and_split(make_windows(series, 4, 2), seed=1)
+        windows = make_windows(series, 4, 2)
+        with pytest.raises(ConfigError, match="not finalized"):
+            windows.denormalize_targets(windows.targets)
+        ds = normalize_and_split(windows, seed=1)
         restored = ds.denormalize_targets(ds.targets)
         original = np.empty_like(restored)
         for i in range(ds.count):
