@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 
@@ -25,7 +26,7 @@ from .evaluation import aggregate_runs
 from .experiment import (FILE_DATASETS, GENERATED_DATASETS, STRATEGIES,
                          ExperimentConfig, emit_report, load_run_reports,
                          resolve_output_dir, run_experiment)
-from .gradsuite import run_suite
+from .gradsuite import TOL, run_suite
 from .models import FAMILIES
 
 
@@ -154,6 +155,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {args.tol}")
     ok = run_suite(seed=args.seed, tol=args.tol)
     print("gradient suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 2
@@ -200,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="gradient acceptance suite")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--tol", type=float, default=1e-4)
+    p_grad.add_argument("--tol", type=float, default=TOL)
     p_grad.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -1,6 +1,6 @@
 """Reverse-mode differentiation engine over dense float64 tensors."""
 
-from .autodiff import BlockReport, GradCheckReport, backward, grad_check
+from .autodiff import backward
 from .ops import (OP_TABLE, add, concat, conv1d, hadamard, matmul,
                   pinball_branch, reduce_mean, relu, reshape, sigmoid,
                   slice_axis, sub, tanh)
@@ -11,5 +11,5 @@ __all__ = [
     "add", "sub", "hadamard", "matmul", "concat", "slice_axis", "reshape",
     "sigmoid", "tanh", "relu", "conv1d", "reduce_mean", "pinball_branch",
     "OP_TABLE",
-    "backward", "grad_check", "GradCheckReport", "BlockReport",
+    "backward",
 ]

@@ -342,3 +342,18 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "gradient suite: PASS" in out
         assert "model edlstm/f1" in out
+
+    @pytest.mark.parametrize("bad", [
+        ["--seed", "-1"], ["--seed", "18446744073709551616"],
+        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]])
+    def test_bad_settings_exit_1_before_any_check(self, monkeypatch, capsys,
+                                                   bad):
+        def no_suite(seed, tol):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr("quantforecast.cli.run_suite", no_suite)
+        assert main(["gradcheck"] + bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
