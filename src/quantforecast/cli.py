@@ -101,19 +101,25 @@ def _experiment_config(args, runs: int | None = None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(fields)
 
 
+_GENERATORS = {"mackey-glass": (MackeyGlassParams, gen_mackey_glass),
+               "lorenz": (LorenzParams, gen_lorenz)}
+
+
 def _cmd_generate(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
-    # Unset flags leave the generator's own defaults in place.
-    cls = MackeyGlassParams if args.generator == "mackey-glass" \
-        else LorenzParams
-    params = cls(**{f.name: getattr(args, f.name)
-                    for f in dataclasses.fields(cls)
-                    if getattr(args, f.name, None) is not None})
-    if args.generator == "mackey-glass":
-        series = gen_mackey_glass(params, args.seed)
-    else:
-        series = gen_lorenz(params, args.seed)
+    # Unset flags leave the generator's own defaults in place; a flag that
+    # sets another generator's field is an error, not a silent no-op.
+    given = {f.name: getattr(args, f.name)
+             for cls, _ in _GENERATORS.values()
+             for f in dataclasses.fields(cls)
+             if getattr(args, f.name, None) is not None}
+    cls, generate = _GENERATORS[args.generator]
+    foreign = sorted(set(given) - {f.name for f in dataclasses.fields(cls)})
+    if foreign:
+        raise ConfigError(f"{args.generator} takes no "
+                          + ", ".join(f"--{name}" for name in foreign))
+    series = generate(cls(**given), args.seed)
     out = resolve_output_dir(args.out)
     write_series_csv(out, series)
     print(f"wrote {series.length} rows to {out}")
@@ -171,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a synthetic series to CSV")
-    p_gen.add_argument("generator", choices=["mackey-glass", "lorenz"])
+    p_gen.add_argument("generator", choices=list(_GENERATORS))
     p_gen.add_argument("--steps", type=int)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--dt", type=float)

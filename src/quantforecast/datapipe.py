@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -34,7 +34,6 @@ class RawSeries:
     name: str
     columns: list[str]
     values: np.ndarray  # (T, f) float64
-    index: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -171,8 +170,7 @@ def downsample(series: RawSeries, limit: int | None = None,
     chaotic generators."""
     stop = None if limit is None else offset + limit
     return RawSeries(name=series.name, columns=list(series.columns),
-                     values=series.values[offset:stop].copy(),
-                     index=series.index[offset:stop])
+                     values=series.values[offset:stop].copy())
 
 
 _DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y", "%Y-%m-%d %H:%M:%S")
@@ -232,22 +230,22 @@ def load_csv(path, schema: str = "market", name: str | None = None) -> RawSeries
             key = _parse_date_key(row[lookup["date"]], line_no)
             values = [_parse_float(row[lookup[c]], c, line_no)
                       for c in wanted[1:]]
-            rows.append((key, row[lookup["date"]].strip(), values, line_no))
+            rows.append((key, values, line_no))
 
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     # Integer and date keys cannot be ordered against each other.
     first_is_int = isinstance(rows[0][0], int)
-    for key, _, _, line_no in rows[1:]:
+    for key, _, line_no in rows[1:]:
         if isinstance(key, int) != first_is_int:
             raise ParseError("date format differs from first row", line_no)
     rows.sort(key=lambda r: r[0])
-    values = np.array([r[2] for r in rows], dtype=np.float64)
+    values = np.array([r[1] for r in rows], dtype=np.float64)
     if not np.all(np.isfinite(values)):
-        bad = rows[int(np.argwhere(~np.isfinite(values))[0][0])][3]
+        bad = rows[int(np.argwhere(~np.isfinite(values))[0][0])][2]
         raise ParseError("non-finite value", bad)
     return RawSeries(name=name or str(path), columns=list(wanted[1:]),
-                     values=values, index=[r[1] for r in rows])
+                     values=values)
 
 
 @dataclass
@@ -314,11 +312,17 @@ class WindowedDataset:
         return np.asarray(arr, dtype=np.float64) * (hi - lo) + lo
 
 
+def target_column(columns: list[str]) -> int:
+    """Index of the prediction target: "close" when present, otherwise the
+    first column."""
+    return columns.index("close") if "close" in columns else 0
+
+
 def make_windows(series: RawSeries, window: int,
                  horizons: int) -> WindowedDataset:
     """Slide a (window, horizons) frame over the series: N = T - d - m + 1
-    aligned pairs. Inputs keep all features; targets take one column,
-    "close" when present, otherwise the first."""
+    aligned pairs. Inputs keep all features; targets take the
+    target_column."""
     d, m = int(window), int(horizons)
     if d < 2 or m < 1:
         raise ConfigError(f"need window >= 2 and horizons >= 1, got d={d} m={m}")
@@ -326,8 +330,7 @@ def make_windows(series: RawSeries, window: int,
     if t_len <= d + m:
         raise InsufficientData(
             f"series length {t_len} too short for window {d} + horizons {m}")
-    target_index = (series.columns.index("close")
-                    if "close" in series.columns else 0)
+    target_index = target_column(series.columns)
 
     # Window i covers rows i .. i+d-1; its targets are rows i+d .. i+d+m-1.
     inputs = sliding_window_view(series.values[:t_len - m], d, axis=0)
@@ -380,13 +383,10 @@ def normalize_and_split(dataset: WindowedDataset, seed: int,
 
 
 def write_series_csv(path, series: RawSeries) -> None:
-    """Write a series in the univariate or market CSV schema."""
+    """Write a one-column series in the univariate schema, Date,Value, with
+    the step number as its date; a wider series raises ValueError."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if series.values.shape[1] == 1:
-            writer.writerow(["Date", "Value"])
-        else:
-            writer.writerow(["Date"] + [c.capitalize() for c in series.columns])
-        index = series.index or [str(i) for i in range(series.length)]
-        writer.writerows([key] + [repr(v) for v in row]
-                         for key, row in zip(index, series.values.tolist()))
+        writer.writerow(["Date", "Value"])
+        writer.writerows((i, repr(v))
+                         for i, (v,) in enumerate(series.values.tolist()))

@@ -1,4 +1,5 @@
-"""Dense float64 tensors and the seeded random stream they are built from."""
+"""Dense float64 tensors, and the seeded random stream that draws initial
+weights, data splits and batch orders."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from ..errors import InvalidShape, NumericalError
+from ..errors import NumericalError
 
 _node_ids = itertools.count()
 
@@ -113,40 +114,3 @@ def _op_result(data: np.ndarray, op: str, parents: tuple = (),
     t.consumed = False
     return t
 
-
-def tensor_new(shape, fill: str = "zeros", *, rng: SeededRng | None = None,
-               requires_grad: bool = False, name: str | None = None) -> Tensor:
-    """Allocate a leaf tensor of the given shape.
-
-    fill is "zeros" (biases and initial LSTM states) or "glorot" (weights:
-    uniform on (-L, L) with L = sqrt(6 / (fan_in + fan_out)), drawn from
-    the SeededRng that glorot requires).
-    """
-    shape = tuple(int(n) for n in shape)
-    if len(shape) == 0:
-        raise InvalidShape("shape must have at least one extent")
-    if any(n < 1 for n in shape):
-        raise InvalidShape(f"extents must be >= 1, got {shape}")
-
-    if fill == "zeros":
-        data = np.zeros(shape)
-    elif fill == "glorot":
-        if rng is None:
-            raise ValueError("glorot fill needs a SeededRng")
-        fan_in, fan_out = _fans(shape)
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        data = rng.uniform(-limit, limit, shape)
-    else:
-        raise ValueError(f"unknown fill rule {fill!r}")
-    return Tensor(data, requires_grad=requires_grad, name=name)
-
-
-def _fans(shape: tuple) -> tuple[int, int]:
-    """Fan-in/fan-out convention: matrices (in, out); conv kernels put the
-    receptive field times the channel count on each side."""
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    receptive = int(np.prod(shape[:-2]))
-    return receptive * shape[-2], receptive * shape[-1]

@@ -5,10 +5,6 @@ class ForecastError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidShape(ForecastError):
-    """Tensor constructed with an empty shape or a non-positive extent."""
-
-
 class ShapeError(ForecastError):
     """Operation inputs are not conformable."""
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import baselines
 from .datapipe import (LorenzParams, MackeyGlassParams, RawSeries, downsample,
                        gen_lorenz, gen_mackey_glass, load_csv, make_windows,
-                       normalize_and_split)
+                       normalize_and_split, target_column)
 from .engine import SeededRng
 from .errors import ConfigError, EmptyEval, IoError, SchemaError
 from .evaluation import (AggregateReport, RunReport, aggregate_runs,
@@ -119,6 +119,12 @@ class ExperimentConfig:
             raise ConfigError("train fraction must be in (0, 1)")
         if self.dataset in FILE_DATASETS and not self.csv_path:
             raise ConfigError(f"dataset {self.dataset!r} needs --csv-path")
+        if self.dataset in FILE_DATASETS and self.data_steps is not None:
+            raise ConfigError(f"dataset {self.dataset!r} is read from a "
+                              f"file and takes no --data-steps")
+        if self.dataset in GENERATED_DATASETS and self.csv_path is not None:
+            raise ConfigError(f"dataset {self.dataset!r} is generated and "
+                              f"reads no --csv-path")
         self.quantiles = check_quantiles(self.quantiles) if self.quantile \
             else (0.5,)
         if len(self.quantiles) > 1 and 0.5 not in self.quantiles:
@@ -205,11 +211,9 @@ def build_series(config: ExperimentConfig) -> RawSeries:
     if config.data_limit or config.data_offset:
         series = downsample(series, config.data_limit, config.data_offset)
     if config.strategy == "univariate" and series.values.shape[1] > 1:
-        target = "close" if "close" in series.columns else series.columns[0]
-        col = series.columns.index(target)
-        series = RawSeries(name=series.name, columns=[target],
-                           values=series.values[:, col].copy(),
-                           index=list(series.index))
+        col = target_column(series.columns)
+        series = RawSeries(name=series.name, columns=[series.columns[col]],
+                           values=series.values[:, col].copy())
     return series
 
 

@@ -42,11 +42,14 @@ at every step, so its projection is computed once and passed m times.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import (SeededRng, Tensor, add, concat, conv1d, hadamard, matmul,
-                     relu, reshape, sigmoid, slice_axis, tanh, tensor_new)
+                     relu, reshape, sigmoid, slice_axis, tanh)
 from .errors import ConfigError, NumericalError, ShapeError
 from .losses import check_quantiles
 
@@ -74,8 +77,11 @@ class ModelSpec:
             raise ConfigError(
                 f"need features >= 1, window >= 2, horizons >= 1; got "
                 f"f={self.features}, d={self.window}, m={self.horizons}")
-        if self.hidden1 < 1 or self.hidden2 < 1:
-            raise ConfigError("hidden sizes must be >= 1")
+        if self.hidden1 < 1 or self.hidden2 < 1 or self.conv_filters < 1:
+            raise ConfigError(
+                f"need hidden sizes and conv filters >= 1; got "
+                f"h1={self.hidden1}, h2={self.hidden2}, "
+                f"filters={self.conv_filters}")
         object.__setattr__(self, "quantiles", check_quantiles(self.quantiles))
 
     @property
@@ -97,24 +103,32 @@ class Model:
                                  for name, p in self.params.items()})
 
 
+def _param(params: dict[str, Tensor], name: str, shape: tuple[int, ...],
+           rng: SeededRng | None = None) -> None:
+    """Add the trainable block name: zeros, or, given an rng, Glorot-uniform
+    draws on (-L, L) with L = sqrt(6 / (fan_in + fan_out)). The last two
+    axes are (in, out); a kernel's leading axes are its receptive field,
+    which scales both fans."""
+    if rng is None:
+        data = np.zeros(shape)
+    else:
+        receptive = math.prod(shape[:-2])
+        limit = np.sqrt(6.0 / (receptive * (shape[-2] + shape[-1])))
+        data = rng.uniform(-limit, limit, shape)
+    params[name] = Tensor(data, requires_grad=True, name=name)
+
+
 def _lstm_params(rng: SeededRng, prefix: str, n_in: int, hidden: int,
                  params: dict[str, Tensor]) -> None:
-    params[f"{prefix}.w_x"] = tensor_new(
-        [n_in, 4 * hidden], "glorot", rng=rng, requires_grad=True,
-        name=f"{prefix}.w_x")
-    params[f"{prefix}.w_h"] = tensor_new(
-        [hidden, 4 * hidden], "glorot", rng=rng, requires_grad=True,
-        name=f"{prefix}.w_h")
-    params[f"{prefix}.b"] = tensor_new(
-        [4 * hidden], "zeros", requires_grad=True, name=f"{prefix}.b")
+    _param(params, f"{prefix}.w_x", (n_in, 4 * hidden), rng)
+    _param(params, f"{prefix}.w_h", (hidden, 4 * hidden), rng)
+    _param(params, f"{prefix}.b", (4 * hidden,))
 
 
 def _head_params(rng: SeededRng, n_in: int, n_out: int,
                  params: dict[str, Tensor]) -> None:
-    params["head.w"] = tensor_new([n_in, n_out], "glorot", rng=rng,
-                                  requires_grad=True, name="head.w")
-    params["head.b"] = tensor_new([n_out], "zeros", requires_grad=True,
-                                  name="head.b")
+    _param(params, "head.w", (n_in, n_out), rng)
+    _param(params, "head.b", (n_out,))
 
 
 def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
@@ -139,13 +153,11 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
         _head_params(rng, h2, k, params)
     elif spec.family == "convlstm":
         if f == 1:
-            kernel_shape = [CONV_KERNEL, 1, spec.conv_filters]
+            kernel_shape = (CONV_KERNEL, 1, spec.conv_filters)
         else:
-            kernel_shape = [CONV_KERNEL, f, 1, spec.conv_filters]
-        params["conv.w"] = tensor_new(kernel_shape, "glorot", rng=rng,
-                                      requires_grad=True, name="conv.w")
-        params["conv.b"] = tensor_new([spec.conv_filters], "zeros",
-                                      requires_grad=True, name="conv.b")
+            kernel_shape = (CONV_KERNEL, f, 1, spec.conv_filters)
+        _param(params, "conv.w", kernel_shape, rng)
+        _param(params, "conv.b", (spec.conv_filters,))
         _lstm_params(rng, "lstm1", spec.conv_filters, h1, params)
         _head_params(rng, h1, m * k, params)
     elif spec.family == "linear":

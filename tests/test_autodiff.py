@@ -7,7 +7,7 @@ from quantforecast import training
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, backward,
                                   concat, conv1d, hadamard, matmul,
                                   pinball_branch, reduce_mean, reshape,
-                                  sigmoid, slice_axis, sub, tanh, tensor_new)
+                                  sigmoid, slice_axis, sub, tanh)
 from quantforecast.engine.tensor import _op_result
 from quantforecast.errors import NotScalar
 from quantforecast.gradsuite import (check_all_families, check_all_ops,
@@ -229,11 +229,15 @@ class TestGradCheckHarness:
         rng = SeededRng(1)
         normal = np.random.default_rng(1).standard_normal
         hidden = 4
+
+        def glorot(n_in, n_out):
+            limit = np.sqrt(6.0 / (n_in + n_out))
+            return Tensor(rng.uniform(-limit, limit, (n_in, n_out)),
+                          requires_grad=True)
+
         params = {
-            "w_x": tensor_new([3, 4 * hidden], "glorot", rng=rng,
-                              requires_grad=True),
-            "w_h": tensor_new([hidden, 4 * hidden], "glorot", rng=rng,
-                              requires_grad=True),
+            "w_x": glorot(3, 4 * hidden),
+            "w_h": glorot(hidden, 4 * hidden),
             "b": Tensor(normal((4 * hidden,)), requires_grad=True),
         }
         x = Tensor(normal((2, 3)))

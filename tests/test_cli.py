@@ -69,6 +69,22 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["mackey-glass", "--rho", "5", "--component", "z"],
+         "mackey-glass takes no --component, --rho"),
+        (["lorenz", "--a", "0.9", "--delay", "3"],
+         "lorenz takes no --a, --delay"),
+        (["lorenz", "--steps", "50", "--b", "0.1"], "lorenz takes no --b")],
+        ids=["mackey-glass", "lorenz", "lorenz-b"])
+    def test_flag_of_another_generator_exit_1(self, tmp_path, capsys, flags,
+                                              named):
+        out = tmp_path / "series.csv"
+        assert main(["generate"] + flags + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {named}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("settings, series", [
         (["lorenz", "--dt", "0.5", "--steps", "2000"], "'lorenz'"),
         (["mackey-glass", "--a", "1e40"], "'mackey-glass' overflows at step")],
@@ -186,6 +202,22 @@ class TestExperimentCommand:
         assert "config error:" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--dataset", "csv", "--csv-path", "f.csv", "--data-steps", "7"],
+         "--data-steps"),
+        (["--dataset", "mackey-glass", "--csv-path", "/nonexistent.csv"],
+         "reads no --csv-path")], ids=["data-steps", "csv-path"])
+    def test_dataset_setting_that_cannot_apply_exit_1(self, tmp_path, capsys,
+                                                      flags, named):
+        out = tmp_path / "run"
+        code = main(["train", "--family", "linear", "--out", str(out)]
+                    + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert named in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--help"])
@@ -266,9 +298,17 @@ class TestExperimentCommand:
         args = build_parser().parse_args(argv)
         dests = {a.dest for a in experiment_actions()} - {"help", "config"}
         assert dests == set(expected)
+        # --data-steps applies to a generated series only, so it reaches a
+        # config of its own
+        args.data_steps = None
         config = _experiment_config(args)
         for key, value in expected.items():
-            assert getattr(config, key) == value, key
+            if key != "data_steps":
+                assert getattr(config, key) == value, key
+        config = _experiment_config(build_parser().parse_args(
+            ["experiment", "--dataset", "mackey-glass", "--family", "lstm",
+             "--data-steps", "400"]))
+        assert config.data_steps == 400
 
     def test_choices_come_from_the_library(self):
         assert experiment_choices("--dataset") == (GENERATED_DATASETS

@@ -112,11 +112,9 @@ class TestLorenz:
 
     def test_downsample(self):
         uni = gen_lorenz(LorenzParams(steps=1000), seed=0)
-        uni.index = [str(i) for i in range(1000)]
         ds = downsample(uni, limit=300, offset=100)
         assert ds.length == 300
         assert np.array_equal(ds.values, uni.values[100:400])
-        assert ds.index == uni.index[100:400]
         assert downsample(uni, offset=990).length == 10
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
@@ -175,7 +173,6 @@ class TestLoadCsv:
         series = load_csv(write_csv(tmp_path / "i.csv", content), "univariate")
         assert series.length == 6
         assert series.values[:, 0].tolist() == [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-        assert series.index == ["-1", "0", "1", "2", "+3", "4"]
 
     def test_missing_column_lists_names(self, tmp_path):
         content = "Date,High,Low,Open,Close\n2020-01-01,1,1,1,1\n"
@@ -205,19 +202,25 @@ class TestLoadCsv:
         path = tmp_path / "mg.csv"
         write_series_csv(path, series)
         loaded = load_csv(path, "univariate")
-        assert np.allclose(loaded.values, series.values, atol=0)
-        assert loaded.index == [str(i) for i in range(50)]
+        assert np.array_equal(loaded.values, series.values)
+        dates = [line.split(",")[0] for line in path.read_text().splitlines()]
+        assert dates == ["Date"] + [str(i) for i in range(50)]
 
     def test_writer_cells_are_float_reprs(self, tmp_path):
-        series = RawSeries(name="lorenz", columns=["x", "y", "z"],
-                           values=lorenz_values(LorenzParams(steps=300), 2))
+        series = RawSeries(name="lorenz-y", columns=["value"],
+                           values=lorenz_values(LorenzParams(steps=300),
+                                                2)[:, 1])
         path = tmp_path / "lz.csv"
         write_series_csv(path, series)
-        rows = [["Date", "X", "Y", "Z"]]
-        rows += [[str(i)] + [repr(float(v)) for v in row]
-                 for i, row in enumerate(series.values)]
+        rows = [["Date", "Value"]]
+        rows += [[str(i), repr(float(v))]
+                 for i, v in enumerate(series.values[:, 0])]
         expected = "".join(",".join(row) + "\r\n" for row in rows)
         assert path.read_bytes() == expected.encode("utf-8")
+        wide = RawSeries(name="lorenz", columns=["x", "y", "z"],
+                         values=lorenz_values(LorenzParams(steps=3), 2))
+        with pytest.raises(ValueError):
+            write_series_csv(tmp_path / "wide.csv", wide)
 
     def test_converted_sunspot_file_loads(self, tmp_path):
         # scripts/fetch_sunspot.py: SILSO rows (year; month; decimal year;
@@ -233,8 +236,9 @@ class TestLoadCsv:
                           "1749;  10;1749.789;  107.0; -1.0;   -1;1\n")
         out = tmp_path / "sunspot.csv"
         assert fetch_sunspot.convert(str(silso), str(out)) == 3
+        dates = [line.split(",")[0] for line in out.read_text().splitlines()]
+        assert dates == ["Date", "1749-01-01", "1749-03-01", "1749-10-01"]
         series = load_csv(out, schema="univariate")
-        assert series.index == ["1749-01-01", "1749-03-01", "1749-10-01"]
         assert series.values[:, 0].tolist() == [96.7, 94.0, 107.0]
 
 

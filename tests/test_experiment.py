@@ -33,8 +33,16 @@ class TestConfigValidation:
             tiny_config(tmp_path, family="mlp")
 
     def test_market_dataset_needs_path(self, tmp_path):
-        with pytest.raises(ConfigError):
-            tiny_config(tmp_path, dataset="bitcoin")
+        with pytest.raises(ConfigError, match="needs --csv-path"):
+            tiny_config(tmp_path, dataset="bitcoin", data_steps=None)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(dataset="csv", csv_path="x.csv"), "--data-steps"),
+        (dict(csv_path="x.csv", data_steps=None), "reads no --csv-path")],
+        ids=["data-steps", "csv-path"])
+    def test_dataset_setting_that_cannot_apply(self, tmp_path, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            tiny_config(tmp_path, **kw)
 
     def test_defaults_by_dataset_kind(self, tmp_path):
         benchmark = tiny_config(tmp_path, window=None, horizons=None)
@@ -145,7 +153,8 @@ class TestBuildSeries:
             csv_path=str(csv), window=4, horizons=2, runs=1,
             output_dir=str(tmp_path))
         series = build_series(config)
-        assert series.values.shape[1] == 1  # close only
+        assert series.columns == ["close"]
+        assert series.values[:, 0].tolist() == [i + 1.5 for i in range(30)]
 
     def test_quoted_market_header_is_sniffed(self, tmp_path,
                                              quoted_market_csv):

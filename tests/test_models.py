@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quantforecast.engine import (SeededRng, Tensor, add, concat, conv1d,
-                                  matmul, tensor_new)
+                                  matmul)
 from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
 from quantforecast.models import (FAMILIES, ModelSpec,
@@ -27,6 +27,17 @@ def reference_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
+
+
+def glorot(rng, shape, fan_in, fan_out):
+    """The documented initial draw: uniform on (-L, L), L = sqrt(6 / (fan_in
+    + fan_out))."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, shape)
+
+
+def zeros(*shape):
+    return Tensor(np.zeros(shape))
 
 
 def toy_spec(family, f=1, quantiles=(0.5,), **kw):
@@ -58,9 +69,9 @@ class TestLstmCell:
     def test_zero_weights_closed_form(self):
         hidden = 3
         params = {
-            "w_x": tensor_new([2, 4 * hidden], "zeros"),
-            "w_h": tensor_new([hidden, 4 * hidden], "zeros"),
-            "b": tensor_new([4 * hidden], "zeros"),
+            "w_x": zeros(2, 4 * hidden),
+            "w_h": zeros(hidden, 4 * hidden),
+            "b": zeros(4 * hidden),
         }
         x = Tensor([[5.0, -3.0]])
         c_prev = Tensor([[0.4, -1.0, 2.0]])
@@ -73,12 +84,12 @@ class TestLstmCell:
     def test_zero_weights_zero_cell_state(self):
         hidden = 2
         params = {
-            "w_x": tensor_new([1, 4 * hidden], "zeros"),
-            "w_h": tensor_new([hidden, 4 * hidden], "zeros"),
-            "b": tensor_new([4 * hidden], "zeros"),
+            "w_x": zeros(1, 4 * hidden),
+            "w_h": zeros(hidden, 4 * hidden),
+            "b": zeros(4 * hidden),
         }
-        h, c = lstm_cell_step(Tensor([[7.0]]), tensor_new([1, 2], "zeros"),
-                              tensor_new([1, 2], "zeros"), params)
+        h, c = lstm_cell_step(Tensor([[7.0]]), zeros(1, 2), zeros(1, 2),
+                              params)
         assert np.all(h.data == 0.0)
         assert np.all(c.data == 0.0)
 
@@ -87,8 +98,9 @@ class TestLstmCell:
         normal = np.random.default_rng(3).standard_normal
         hidden = 2
         params = {
-            "w_x": tensor_new([2, 4 * hidden], "glorot", rng=rng),
-            "w_h": tensor_new([hidden, 4 * hidden], "glorot", rng=rng),
+            "w_x": Tensor(glorot(rng, (2, 4 * hidden), 2, 4 * hidden)),
+            "w_h": Tensor(glorot(rng, (hidden, 4 * hidden), hidden,
+                                 4 * hidden)),
             "b": Tensor(normal((4 * hidden,))),
         }
         x = np.array([[1.0, -1.0]])
@@ -118,6 +130,60 @@ class TestSpecValidation:
         from quantforecast.errors import InvalidQuantile
         with pytest.raises(InvalidQuantile):
             toy_spec("lstm", quantiles=(0.9, 0.1))
+
+    def test_no_conv_filters(self):
+        with pytest.raises(ConfigError, match="filters=0"):
+            toy_spec("convlstm", conv_filters=0)
+
+
+def parameter_table(family, f, d, m, k, h1, h2, filters):
+    """The models shape table in draw order: (name, shape, (fan_in,
+    fan_out)) for a Glorot block, fans None for a zero bias."""
+    def lstm(prefix, n, h):
+        return [(f"{prefix}.w_x", (n, 4 * h), (n, 4 * h)),
+                (f"{prefix}.w_h", (h, 4 * h), (h, 4 * h)),
+                (f"{prefix}.b", (4 * h,), None)]
+
+    def head(n, out):
+        return [("head.w", (n, out), (n, out)), ("head.b", (out,), None)]
+
+    if family == "lstm":
+        return lstm("lstm1", f, h1) + lstm("lstm2", h1, h2) + head(h2, m * k)
+    if family == "bdlstm":
+        return (lstm("fwd", f, h1) + lstm("bwd", f, h1)
+                + lstm("lstm2", 2 * h1, h2) + head(h2, m * k))
+    if family == "edlstm":
+        return lstm("enc", f, h1) + lstm("dec", h1, h2) + head(h2, k)
+    if family == "convlstm":
+        # The kernel's receptive field (2 steps, times f features when
+        # multivariate) scales both fans.
+        kernel = (2, 1, filters) if f == 1 else (2, f, 1, filters)
+        return ([("conv.w", kernel, (2 * f, 2 * f * filters)),
+                 ("conv.b", (filters,), None)]
+                + lstm("lstm1", filters, h1) + head(h1, m * k))
+    return head(d * f, m * k)
+
+
+class TestInitialWeights:
+    @pytest.mark.parametrize("f", [1, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_blocks_are_glorot_draws_in_table_order(self, family, f):
+        spec = toy_spec(family, f=f, quantiles=DEFAULT_QUANTILES,
+                        hidden2=4, conv_filters=5)
+        model = build_model(spec, SeededRng(11, (1,)))
+        table = parameter_table(family, f, spec.window, spec.horizons,
+                                spec.levels, spec.hidden1, spec.hidden2, 5)
+        assert list(model.params) == [name for name, _, _ in table]
+        rng = SeededRng(11, (1,))
+        for name, shape, fans in table:
+            block = model.params[name]
+            assert block.requires_grad and block.name == name
+            assert block.shape == shape, name
+            if fans is None:
+                assert np.all(block.data == 0.0), name
+            else:
+                assert np.array_equal(block.data, glorot(rng, shape, *fans)), \
+                    name
 
 
 class TestBuildShapes:
