@@ -19,13 +19,11 @@ import math
 import sys
 import warnings
 
-from .datapipe import LorenzParams, MackeyGlassParams, gen_lorenz, \
-    gen_mackey_glass, write_series_csv
+from .datapipe import FILE_SCHEMAS, GENERATORS, write_series_csv
 from .errors import ConfigError, ForecastError
 from .evaluation import aggregate_runs
-from .experiment import (FILE_DATASETS, GENERATED_DATASETS, STRATEGIES,
-                         ExperimentConfig, emit_report, load_run_reports,
-                         resolve_output_dir, run_experiment)
+from .experiment import (STRATEGIES, ExperimentConfig, emit_report,
+                         load_run_reports, resolve_output_dir, run_experiment)
 from .gradsuite import TOL, run_suite
 from .models import FAMILIES
 
@@ -43,8 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with experiment fields")
     parser.add_argument("--name")
-    parser.add_argument("--dataset",
-                        choices=GENERATED_DATASETS + FILE_DATASETS)
+    parser.add_argument("--dataset", choices=(*GENERATORS, *FILE_SCHEMAS))
     parser.add_argument("--csv-path")
     parser.add_argument("--family", choices=FAMILIES)
     parser.add_argument("--strategy", choices=STRATEGIES)
@@ -67,8 +64,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-steps", type=int)
     parser.add_argument("--data-limit", type=int)
     parser.add_argument("--data-offset", type=int)
-    parser.add_argument("--denormalized-metrics", action="store_true",
-                        default=None)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--out", dest="output_dir")
 
@@ -101,20 +96,16 @@ def _experiment_config(args, runs: int | None = None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(fields)
 
 
-_GENERATORS = {"mackey-glass": (MackeyGlassParams, gen_mackey_glass),
-               "lorenz": (LorenzParams, gen_lorenz)}
-
-
 def _cmd_generate(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
     # Unset flags leave the generator's own defaults in place; a flag that
     # sets another generator's field is an error, not a silent no-op.
     given = {f.name: getattr(args, f.name)
-             for cls, _ in _GENERATORS.values()
+             for cls, _ in GENERATORS.values()
              for f in dataclasses.fields(cls)
              if getattr(args, f.name, None) is not None}
-    cls, generate = _GENERATORS[args.generator]
+    cls, generate = GENERATORS[args.generator]
     foreign = sorted(set(given) - {f.name for f in dataclasses.fields(cls)})
     if foreign:
         raise ConfigError(f"{args.generator} takes no "
@@ -177,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a synthetic series to CSV")
-    p_gen.add_argument("generator", choices=list(_GENERATORS))
+    p_gen.add_argument("generator", choices=tuple(GENERATORS))
     p_gen.add_argument("--steps", type=int)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--dt", type=float)
     p_gen.add_argument("--a", type=float,
-                       help="mackey-glass production coefficient")
+                       help="production coefficient (Mackey-Glass)")
     p_gen.add_argument("--b", type=float,
-                       help="mackey-glass decay coefficient")
+                       help="decay coefficient (Mackey-Glass)")
     p_gen.add_argument("--delay", type=int)
     p_gen.add_argument("--rho", type=float)
     p_gen.add_argument("--sigma", type=float)

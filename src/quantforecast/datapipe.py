@@ -1,6 +1,10 @@
 """Dataset acquisition, sliding windows, normalisation and the 80:20 split.
 
-CSV schemas (header row required, rows re-sorted ascending by date):
+The dataset list is two tables, GENERATORS and FILE_SCHEMAS.
+
+CSV schemas (header row required, rows re-sorted ascending by date; given
+no schema, load_csv reads a header holding the five market columns as
+market and any other header as univariate):
 
   market:     Date, High, Low, Open, Close, Volume  — extra columns such as
               serial numbers, names, symbols and market capitalisation are
@@ -26,6 +30,14 @@ from .errors import (ConfigError, DegenerateFeature, InsufficientData,
                      NumericalError, ParseError, SchemaError)
 
 MARKET_FEATURES = ("high", "low", "open", "close", "volume")
+_SCHEMA_COLUMNS = {"market": MARKET_FEATURES, "univariate": ("value",)}
+
+# The generators' starting state: the Mackey-Glass pre-history level, the
+# Lorenz initial state, and the half-width of the seeded uniform jitter
+# added to either.
+MACKEY_GLASS_HISTORY = 1.2
+LORENZ_INITIAL = (0.0, 1.0, 1.05)
+JITTER = 0.01
 
 
 @dataclass
@@ -66,12 +78,9 @@ class MackeyGlassParams:
     delay: int = 10
     steps: int = 3000
     dt: float = 1.0
-    history: float = 1.2
-    jitter: float = 0.01
 
     def __post_init__(self):
-        _check_finite(a=self.a, b=self.b, dt=self.dt, history=self.history,
-                      jitter=self.jitter)
+        _check_finite(a=self.a, b=self.b, dt=self.dt)
         if self.delay < 1 or self.steps < self.delay + 2 or self.dt <= 0:
             raise ConfigError("need delay >= 1, steps >= delay + 2 and "
                               "dt > 0")
@@ -84,15 +93,11 @@ class LorenzParams:
     beta: float = 2.667
     steps: int = 10000
     dt: float = 0.01
-    initial: tuple[float, float, float] = (0.0, 1.0, 1.05)
-    jitter: float = 0.01
     component: str = "x"
 
     def __post_init__(self):
         _check_finite(rho=self.rho, sigma=self.sigma, beta=self.beta,
-                      dt=self.dt, jitter=self.jitter,
-                      **{f"initial[{i}]": v
-                         for i, v in enumerate(self.initial)})
+                      dt=self.dt)
         if self.steps < 2 or self.dt <= 0:
             raise ConfigError("need steps >= 2 and dt > 0")
         if self.component not in ("x", "y", "z"):
@@ -108,8 +113,8 @@ def gen_mackey_glass(params: MackeyGlassParams, seed: int) -> RawSeries:
     growth term that overflows raises NumericalError naming the step."""
     rng = SeededRng(seed)
     delay_steps = max(1, int(round(params.delay / params.dt)))
-    history = params.history + rng.uniform(-params.jitter, params.jitter,
-                                           delay_steps + 1)
+    history = MACKEY_GLASS_HISTORY + rng.uniform(-JITTER, JITTER,
+                                                 delay_steps + 1)
     # The pre-history, then the series from its first point (the last
     # pre-history value): step t reads its delayed value at path[t].
     path = history.tolist()
@@ -138,8 +143,8 @@ def gen_lorenz(params: LorenzParams, seed: int) -> RawSeries:
     floats; returns the selected component, and raises NumericalError if
     any component goes non-finite. The seed jitters the initial state."""
     rng = SeededRng(seed)
-    state = np.asarray(params.initial, dtype=np.float64)
-    x, y, z = (state + rng.uniform(-params.jitter, params.jitter, 3)).tolist()
+    state = np.asarray(LORENZ_INITIAL, dtype=np.float64)
+    x, y, z = (state + rng.uniform(-JITTER, JITTER, 3)).tolist()
     rho, sigma, beta, dt = params.rho, params.sigma, params.beta, params.dt
     half = 0.5 * dt
 
@@ -161,6 +166,15 @@ def gen_lorenz(params: LorenzParams, seed: int) -> RawSeries:
         raise NumericalError("series 'lorenz' contains non-finite values")
     return RawSeries(name=f"lorenz-{params.component}", columns=["value"],
                      values=out[:, "xyz".index(params.component)])
+
+
+# Generated datasets: name -> (parameter class, generator(params, seed)).
+GENERATORS = {"mackey-glass": (MackeyGlassParams, gen_mackey_glass),
+              "lorenz": (LorenzParams, gen_lorenz)}
+# Datasets read from a CSV file: name -> schema, None to pick it from the
+# header row.
+FILE_SCHEMAS = {"bitcoin": "market", "ethereum": "market",
+                "sunspot": "univariate", "csv": None}
 
 
 def downsample(series: RawSeries, limit: int | None = None,
@@ -200,13 +214,11 @@ def _parse_float(cell: str, column: str, row: int) -> float:
                          row) from None
 
 
-def load_csv(path, schema: str = "market", name: str | None = None) -> RawSeries:
-    """Read a series from CSV per the schemas documented above."""
-    if schema == "market":
-        wanted = ["date"] + list(MARKET_FEATURES)
-    elif schema == "univariate":
-        wanted = ["date", "value"]
-    else:
+def load_csv(path, schema: str | None = None,
+             name: str | None = None) -> RawSeries:
+    """Read a series from CSV per the schemas documented above; without a
+    schema, pick it from the header row."""
+    if schema is not None and schema not in _SCHEMA_COLUMNS:
         raise ConfigError(f"unknown csv schema {schema!r}")
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -216,6 +228,10 @@ def load_csv(path, schema: str = "market", name: str | None = None) -> RawSeries
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         lookup = {h.strip().lower(): i for i, h in enumerate(header)}
+        if schema is None:
+            schema = ("market" if set(MARKET_FEATURES) <= lookup.keys()
+                      else "univariate")
+        wanted = ["date", *_SCHEMA_COLUMNS[schema]]
         missing = [c for c in wanted if c not in lookup]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")

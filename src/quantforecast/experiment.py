@@ -33,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .datapipe import (LorenzParams, MackeyGlassParams, RawSeries, downsample,
-                       gen_lorenz, gen_mackey_glass, load_csv, make_windows,
-                       normalize_and_split, target_column)
+from .datapipe import (FILE_SCHEMAS, GENERATORS, RawSeries, downsample,
+                       load_csv, make_windows, normalize_and_split,
+                       target_column)
 from .engine import SeededRng
 from .errors import ConfigError, EmptyEval, IoError, SchemaError
 from .evaluation import (AggregateReport, RunReport, aggregate_runs,
@@ -44,8 +44,6 @@ from .losses import DEFAULT_QUANTILES, check_quantiles
 from .models import FAMILIES, ModelSpec, build_model, forward_pass
 from .training import TrainConfig, train
 
-GENERATED_DATASETS = ("mackey-glass", "lorenz")
-FILE_DATASETS = ("bitcoin", "ethereum", "sunspot", "csv")
 STRATEGIES = ("univariate", "multivariate")
 
 # Table of hidden sizes per family: market datasets follow the reference
@@ -78,7 +76,6 @@ class ExperimentConfig:
     data_steps: int | None = None
     data_limit: int | None = None
     data_offset: int = 0
-    denormalized_metrics: bool = False
     linear_iterations: int = 5000
     workers: int = 1
     output_dir: str = "."
@@ -87,12 +84,13 @@ class ExperimentConfig:
         _check_field_types(self)
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
-        if self.dataset not in GENERATED_DATASETS + FILE_DATASETS:
+        if self.dataset not in GENERATORS and self.dataset not in FILE_SCHEMAS:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "multivariate" and self.dataset not in (
-                "bitcoin", "ethereum", "csv"):
+        if self.strategy == "multivariate" and (
+                self.dataset in GENERATORS
+                or FILE_SCHEMAS[self.dataset] == "univariate"):
             raise ConfigError(
                 f"multivariate strategy needs a multi-feature dataset, "
                 f"got {self.dataset!r}")
@@ -117,12 +115,12 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train fraction must be in (0, 1)")
-        if self.dataset in FILE_DATASETS and not self.csv_path:
+        if self.dataset in FILE_SCHEMAS and not self.csv_path:
             raise ConfigError(f"dataset {self.dataset!r} needs --csv-path")
-        if self.dataset in FILE_DATASETS and self.data_steps is not None:
+        if self.dataset in FILE_SCHEMAS and self.data_steps is not None:
             raise ConfigError(f"dataset {self.dataset!r} is read from a "
                               f"file and takes no --data-steps")
-        if self.dataset in GENERATED_DATASETS and self.csv_path is not None:
+        if self.dataset in GENERATORS and self.csv_path is not None:
             raise ConfigError(f"dataset {self.dataset!r} is generated and "
                               f"reads no --csv-path")
         self.quantiles = check_quantiles(self.quantiles) if self.quantile \
@@ -130,8 +128,7 @@ class ExperimentConfig:
         if len(self.quantiles) > 1 and 0.5 not in self.quantiles:
             raise ConfigError(f"quantile set {self.quantiles} must include "
                               f"0.5, the level the run reports score")
-        is_market = self.dataset in ("bitcoin", "ethereum") or (
-            self.dataset == "csv" and self.strategy == "multivariate")
+        is_market = _schema(self) == "market"
         if self.window is None:
             self.window = 6 if is_market else 5
         if self.horizons is None:
@@ -194,19 +191,11 @@ def _check_field_types(config: ExperimentConfig) -> None:
 def build_series(config: ExperimentConfig) -> RawSeries:
     """Materialise the configured dataset (generated series are pinned by
     data_seed and shared by every run in the campaign)."""
-    params = _generator_params(config)
-    if config.dataset == "mackey-glass":
-        series = gen_mackey_glass(params, config.data_seed)
-    elif config.dataset == "lorenz":
-        series = gen_lorenz(params, config.data_seed)
+    if config.dataset in GENERATORS:
+        generate = GENERATORS[config.dataset][1]
+        series = generate(_generator_params(config), config.data_seed)
     else:
-        if config.dataset in ("bitcoin", "ethereum"):
-            schema = "market"
-        elif config.dataset == "sunspot":
-            schema = "univariate"
-        else:
-            schema = _sniff_schema(config.csv_path)
-        series = load_csv(config.csv_path, schema=schema,
+        series = load_csv(config.csv_path, schema=_schema(config),
                           name=config.dataset)
     if config.data_limit or config.data_offset:
         series = downsample(series, config.data_limit, config.data_offset)
@@ -219,20 +208,19 @@ def build_series(config: ExperimentConfig) -> RawSeries:
 
 def _generator_params(config: ExperimentConfig):
     """Parameters of a generated dataset's generator; None for a file."""
+    if config.dataset not in GENERATORS:
+        return None
     steps = {} if config.data_steps is None else {"steps": config.data_steps}
-    if config.dataset == "mackey-glass":
-        return MackeyGlassParams(**steps)
-    if config.dataset == "lorenz":
-        return LorenzParams(**steps)
-    return None
+    return GENERATORS[config.dataset][0](**steps)
 
 
-def _sniff_schema(path) -> str:
-    """Pick the CSV schema for a generic file from its header row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = {h.strip().lower() for h in next(csv.reader(fh), [])}
-    return "market" if {"high", "low", "open", "close",
-                        "volume"} <= header else "univariate"
+def _schema(config: ExperimentConfig) -> str | None:
+    """The CSV schema a campaign reads: market under the multivariate
+    strategy, else its dataset's own (None for a generated dataset, or
+    for a csv whose header picks it)."""
+    if config.strategy == "multivariate":
+        return "market"
+    return FILE_SCHEMAS.get(config.dataset)
 
 
 def _model_spec(config: ExperimentConfig, features: int) -> ModelSpec:
@@ -274,9 +262,6 @@ def run_single(config: ExperimentConfig, series: RawSeries,
         predictions = forward_pass(model.frozen(), dataset.test_inputs).data
 
     targets = dataset.test_targets
-    if config.denormalized_metrics:
-        targets = dataset.denormalize_targets(targets)
-        predictions = dataset.denormalize_targets(predictions)
     wall = time.perf_counter() - start
     report = make_run_report(seed, targets, predictions, config.quantiles,
                              wall_seconds=wall)

@@ -4,7 +4,9 @@ arrays: the reference that the float-stepped generators in
 
 import numpy as np
 
-from quantforecast.datapipe import LorenzParams, MackeyGlassParams
+from quantforecast.datapipe import (JITTER, LORENZ_INITIAL,
+                                    MACKEY_GLASS_HISTORY, LorenzParams,
+                                    MackeyGlassParams)
 from quantforecast.engine import SeededRng
 
 
@@ -13,8 +15,8 @@ def mackey_glass_values(params: MackeyGlassParams, seed: int) -> np.ndarray:
     RK4 stage at a time, the delayed value looked up per step."""
     rng = SeededRng(seed)
     delay_steps = max(1, int(round(params.delay / params.dt)))
-    history = params.history + rng.uniform(-params.jitter, params.jitter,
-                                           delay_steps + 1)
+    history = MACKEY_GLASS_HISTORY + rng.uniform(-JITTER, JITTER,
+                                                 delay_steps + 1)
     xs = np.empty(params.steps)
     xs[0] = history[-1]
 
@@ -38,8 +40,8 @@ def lorenz_values(params: LorenzParams, seed: int) -> np.ndarray:
     """The (steps, 3) trajectory that `gen_lorenz` takes its component
     from, each RK4 stage on a 3-element numpy array."""
     rng = SeededRng(seed)
-    state = np.asarray(params.initial, dtype=np.float64)
-    state = state + rng.uniform(-params.jitter, params.jitter, 3)
+    state = np.asarray(LORENZ_INITIAL, dtype=np.float64)
+    state = state + rng.uniform(-JITTER, JITTER, 3)
 
     rho, sigma, beta, dt = params.rho, params.sigma, params.beta, params.dt
 

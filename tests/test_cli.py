@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 
 from quantforecast.cli import _experiment_config, build_parser, main
-from quantforecast.datapipe import LorenzParams, gen_lorenz, load_csv
-from quantforecast.experiment import (FILE_DATASETS, GENERATED_DATASETS,
-                                      STRATEGIES)
+from quantforecast.datapipe import (FILE_SCHEMAS, GENERATORS, LorenzParams,
+                                    gen_lorenz, load_csv)
+from quantforecast.experiment import STRATEGIES
 from quantforecast.models import FAMILIES
 
 
-def experiment_actions():
+def command_actions(command):
     parser = build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
-    return commands.choices["experiment"]._actions
+    return commands.choices[command]._actions
 
 
 def experiment_choices(flag):
-    return next(a.choices for a in experiment_actions()
+    return next(a.choices for a in command_actions("experiment")
                 if flag in a.option_strings)
 
 
@@ -164,7 +164,8 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("clip_norm", 1.0), ("clip_negative", True), ("data_stride", 2),
-        ("lorenz_component", "y"), ("linear_learning_rate", 0.05)])
+        ("lorenz_component", "y"), ("linear_learning_rate", 0.05),
+        ("denormalized_metrics", True)])
     def test_removed_config_file_key_exit_1(self, tmp_path, capsys, key,
                                             value):
         # an old file never silently runs a campaign other than it names
@@ -282,7 +283,7 @@ class TestExperimentCommand:
             window=7, horizons=3, hidden1=4, hidden2=6, epochs=2,
             batch_size=8, learning_rate=0.01, base_seed=5,
             train_fraction=0.7, data_seed=9, data_steps=400, data_limit=300,
-            data_offset=10, denormalized_metrics=True, workers=2,
+            data_offset=10, workers=2,
             output_dir=out, runs=4)
         argv = ["experiment", "--name", "n", "--dataset", "csv",
                 "--csv-path", "x.csv", "--family", "lstm",
@@ -293,10 +294,11 @@ class TestExperimentCommand:
                 "--learning-rate", "0.01", "--base-seed", "5",
                 "--train-fraction", "0.7", "--data-seed", "9",
                 "--data-steps", "400", "--data-limit", "300",
-                "--data-offset", "10", "--denormalized-metrics",
-                "--workers", "2", "--out", out, "--runs", "4"]
+                "--data-offset", "10", "--workers", "2", "--out", out,
+                "--runs", "4"]
         args = build_parser().parse_args(argv)
-        dests = {a.dest for a in experiment_actions()} - {"help", "config"}
+        dests = ({a.dest for a in command_actions("experiment")}
+                 - {"help", "config"})
         assert dests == set(expected)
         # --data-steps applies to a generated series only, so it reaches a
         # config of its own
@@ -311,8 +313,13 @@ class TestExperimentCommand:
         assert config.data_steps == 400
 
     def test_choices_come_from_the_library(self):
-        assert experiment_choices("--dataset") == (GENERATED_DATASETS
-                                                   + FILE_DATASETS)
+        assert experiment_choices("--dataset") == (*GENERATORS,
+                                                   *FILE_SCHEMAS)
+        assert experiment_choices("--dataset") == (
+            "mackey-glass", "lorenz", "bitcoin", "ethereum", "sunspot", "csv")
+        generator = next(a for a in command_actions("generate")
+                         if a.dest == "generator")
+        assert generator.choices == tuple(GENERATORS)
         assert experiment_choices("--strategy") == STRATEGIES
         assert experiment_choices("--family") == FAMILIES
 
@@ -322,6 +329,22 @@ class TestExperimentCommand:
                      "--csv-path", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path)])
         assert code == 2
+
+    def test_multivariate_on_one_column_csv_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "value.csv"
+        path.write_text("Date,Value\n" + "".join(f"{i},{i % 7}.5\n"
+                                                  for i in range(40)))
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--dataset", "csv", "--strategy",
+                     "multivariate", "--csv-path", str(path),
+                     "--family", "linear", "--runs", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert ("missing columns ['high', 'low', 'open', 'close', 'volume']"
+                in err)
+        assert not list(out.glob("runs/run_*.json"))
+        assert not (out / "aggregate.csv").exists()
 
     def test_short_csv_row_exit_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantforecast.datapipe import (LorenzParams, MackeyGlassParams,
-                                    RawSeries, downsample, gen_lorenz,
+from quantforecast.datapipe import (JITTER, LORENZ_INITIAL, LorenzParams,
+                                    MackeyGlassParams, RawSeries,
+                                    downsample, gen_lorenz,
                                     gen_mackey_glass, load_csv, make_windows,
                                     normalize_and_split, write_series_csv)
 from quantforecast.errors import (ConfigError, DegenerateFeature,
@@ -37,11 +38,12 @@ class TestMackeyGlass:
 
     def test_pure_decay_closed_form(self):
         # with a=0 the delay term vanishes: dx/dt = -b x, x(t) = x0 e^(-bt)
+        # from the series' own (jittered) start x0
         steps, b, dt = 200, 0.1, 1.0
-        params = MackeyGlassParams(a=0.0, b=b, steps=steps, jitter=0.0)
+        params = MackeyGlassParams(a=0.0, b=b, steps=steps)
         series = gen_mackey_glass(params, seed=0)
         t = np.arange(steps)
-        expected = 1.2 * np.exp(-b * t)
+        expected = series.values[0, 0] * np.exp(-b * t)
         rel = np.abs(series.values[:, 0] - expected) / expected
         # RK4 local truncation on exp decay: (b dt)^5 / 5! per step
         tolerance = 2 * steps * (b * dt) ** 5 / 120
@@ -62,11 +64,9 @@ class TestMackeyGlass:
 
     @pytest.mark.parametrize("seed", [0, 1, 9, 2**64 - 1])
     def test_bitwise_equal_to_numpy_stepped_oracle(self, seed):
-        for dt, delay, jitter in itertools.product(
-                (1.0, 0.5, 0.3), (1, 10, 17), (0.0, 0.01)):
+        for dt, delay in itertools.product((1.0, 0.5, 0.3), (1, 10, 17)):
             for steps in (delay + 2, 3000):
-                params = MackeyGlassParams(dt=dt, delay=delay, steps=steps,
-                                           jitter=jitter)
+                params = MackeyGlassParams(dt=dt, delay=delay, steps=steps)
                 got = gen_mackey_glass(params, seed).values
                 want = mackey_glass_values(params, seed)
                 assert got.tobytes() == want.tobytes(), params
@@ -89,9 +89,10 @@ class TestLorenz:
                               lorenz_values(LorenzParams(steps=1000), 0))
 
     def test_sigma_zero_freezes_x(self):
-        params = LorenzParams(sigma=0.0, steps=500, jitter=0.0)
-        uni = gen_lorenz(params, seed=0)
-        assert np.allclose(uni.values, params.initial[0], atol=1e-12)
+        # dx/dt = sigma (y - x) is zero, so x keeps its jittered first value
+        uni = gen_lorenz(LorenzParams(sigma=0.0, steps=500), seed=0)
+        assert abs(uni.values[0, 0] - LORENZ_INITIAL[0]) <= JITTER
+        assert np.all(uni.values == uni.values[0, 0])
 
     def test_component_selector(self):
         params = LorenzParams(steps=300, component="z")
@@ -102,11 +103,10 @@ class TestLorenz:
 
     def test_step_halving_oracle(self):
         # Richardson-style check: halving dt and resampling must leave the
-        # first 100 sampled points nearly unchanged
-        coarse = gen_lorenz(LorenzParams(steps=101, dt=0.01, jitter=0.0),
-                            seed=0)
-        fine = gen_lorenz(LorenzParams(steps=201, dt=0.005, jitter=0.0),
-                          seed=0)
+        # first 100 sampled points nearly unchanged; the shared seed gives
+        # both the same jittered initial state
+        coarse = gen_lorenz(LorenzParams(steps=101, dt=0.01), seed=0)
+        fine = gen_lorenz(LorenzParams(steps=201, dt=0.005), seed=0)
         resampled = fine.values[::2][:101]
         assert np.max(np.abs(coarse.values - resampled)) < 1e-3
 
@@ -157,6 +157,21 @@ class TestLoadCsv:
         assert series.columns == ["high", "low", "open", "close", "volume"]
         assert series.values.shape == (2, 5)
         assert series.values[0, 3] == 144.5
+
+    def test_no_schema_picks_it_from_the_header(self, tmp_path,
+                                                quoted_market_csv):
+        market = ["high", "low", "open", "close", "volume"]
+        content = MARKET_HEADER + \
+            "1,Coin,C,2013-04-29,147.5,134.0,134.4,144.5,0.0,1.6e9\n"
+        assert load_csv(write_csv(tmp_path / "m.csv", content)).columns \
+            == market
+        assert load_csv(quoted_market_csv).columns == market
+        # four of the five market columns make a univariate header
+        content = "Date,High,Low,Open,Close,Value\n2020-01-01,1,1,1,1,2\n"
+        series = load_csv(write_csv(tmp_path / "u.csv", content))
+        assert (series.columns, series.values.tolist()) == (["value"], [[2.0]])
+        with pytest.raises(SchemaError, match=r"missing columns \['value'\]"):
+            load_csv(write_csv(tmp_path / "x.csv", "Date,Price\n1,2\n"))
 
     def test_rows_sorted_by_date(self, tmp_path):
         content = "Date,Value\n2020-01-03,3.0\n2020-01-01,1.0\n2020-01-02,2.0\n"

@@ -165,6 +165,34 @@ class TestBuildSeries:
         series = build_series(config)
         assert series.columns == ["high", "low", "open", "close", "volume"]
 
+    @pytest.mark.parametrize("dataset", ["bitcoin", "ethereum"])
+    def test_market_dataset_columns_by_strategy(self, tmp_path,
+                                                quoted_market_csv, dataset):
+        for strategy, columns in (
+                ("multivariate", ["high", "low", "open", "close", "volume"]),
+                ("univariate", ["close"])):
+            config = ExperimentConfig(
+                name=dataset, dataset=dataset, family="linear",
+                strategy=strategy, csv_path=str(quoted_market_csv), runs=1,
+                output_dir=str(tmp_path))
+            series = build_series(config)
+            assert (series.name, series.columns) == (dataset, columns)
+            assert series.length == 60
+
+    def test_sunspot_reads_the_univariate_schema(self, tmp_path,
+                                                 quoted_market_csv):
+        path = tmp_path / "s.csv"
+        path.write_text("Date,Value\n1749-02-01,62.6\n1749-01-01,58.0\n")
+        config = ExperimentConfig(
+            name="s", dataset="sunspot", family="linear", csv_path=str(path),
+            runs=1, output_dir=str(tmp_path))
+        series = build_series(config)
+        assert series.columns == ["value"]
+        assert series.values[:, 0].tolist() == [58.0, 62.6]
+        config.csv_path = str(quoted_market_csv)
+        with pytest.raises(SchemaError, match=r"missing columns \['value'\]"):
+            build_series(config)
+
 
 class TestRunExperiment:
     def test_artifacts_written(self, tmp_path):
