@@ -15,10 +15,11 @@ Both sides build the same model (the family's default hidden sizes) from
 the same seed on the same Mackey-Glass split (3000 steps, d=5, m=10,
 split seed 0) and take the same batches. Steps alternate A then B, then
 B then A, so neither side always runs first and both see the same drift
-of a shared host. A step is one training step (forward, loss, backward,
-Adam) of a model family under the default quantile levels (or the MSE
-loss), or one whole 30-iteration quantile-linear fit at the levels
-0.05, 0.5 and 0.95.
+of a shared host. A step is one training step of a model family
+(`models.forward_pass`, the public loss `losses.quantile_loss_batch` at
+the default quantile levels or `losses.mse_loss_batch`, backward, Adam),
+or one whole 30-iteration quantile-linear fit at the levels 0.05, 0.5
+and 0.95.
 
 Prints one JSON object: ms per step and the median minor page faults
 per step of each side, the A/B ratio of the total and of the median step
@@ -111,9 +112,14 @@ class Side:
             self.fit = qf.baselines.fit_quantile_linear(
                 self.data, self.quantiles, iterations=LINEAR_ITERATIONS)
             return
-        value = qf.training._batch_loss(
-            self.model, self.data.train_inputs[index],
-            self.data.train_targets[index], self.args.loss)
+        pred = qf.models.forward_pass(self.model,
+                                      self.data.train_inputs[index])
+        targets = self.data.train_targets[index]
+        if self.args.loss == "quantile":
+            value = qf.losses.quantile_loss_batch(targets, pred,
+                                                  self.quantiles)
+        else:
+            value = qf.losses.mse_loss_batch(targets, pred)
         grads = qf.engine.backward(value.node,
                                    params=list(self.model.params.values()))
         qf.training.adam_step(self.model.params, grads, self.adam)

@@ -1,5 +1,6 @@
 """Multi-output linear regression baselines: closed-form least squares and
-pinball-objective quantile fits."""
+pinball-objective quantile fits, over (batch, window, features) windows
+flattened to (batch, window * features) rows."""
 
 from __future__ import annotations
 
@@ -26,23 +27,13 @@ class LinearModel:
     quantiles: tuple[float, ...]
     fit_trace: list[float] = field(default_factory=list)
 
-    @property
-    def horizons(self) -> int:
-        return self.coef.shape[1]
-
-    @property
-    def levels(self) -> int:
-        return self.coef.shape[2]
-
 
 def _flatten_windows(inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 3:
-        return inputs.reshape(inputs.shape[0], -1)
-    if inputs.ndim == 2:
-        return inputs
-    raise ConfigError(f"expected (batch, d, f) or (batch, p) windows, "
-                      f"got shape {inputs.shape}")
+    if inputs.ndim != 3:
+        raise ConfigError(f"expected (batch, d, f) windows, "
+                          f"got shape {inputs.shape}")
+    return inputs.reshape(inputs.shape[0], -1)
 
 
 def fit_ols(dataset) -> LinearModel:
@@ -66,7 +57,7 @@ def fit_ols(dataset) -> LinearModel:
                        quantiles=(0.5,))
 
 
-def fit_quantile_linear(dataset, quantiles=None, iterations: int = 5000,
+def fit_quantile_linear(dataset, quantiles, iterations: int = 5000,
                         learning_rate: float = 0.05) -> LinearModel:
     """Coefficients minimising the mean pinball loss per (horizon, quantile),
     by full-batch gradient descent on the pinball objective.
@@ -77,7 +68,7 @@ def fit_quantile_linear(dataset, quantiles=None, iterations: int = 5000,
     training target mean, weights at zero. An objective that goes
     non-finite raises TrainingDiverged naming the iteration.
     """
-    qs = check_quantiles(quantiles if quantiles is not None else (0.5,))
+    qs = check_quantiles(quantiles)
     x = _flatten_windows(dataset.train_inputs)
     y = np.asarray(dataset.train_targets, dtype=np.float64)
     n, p = x.shape
@@ -125,6 +116,6 @@ def fit_quantile_linear(dataset, quantiles=None, iterations: int = 5000,
 def predict(model: LinearModel, windows) -> np.ndarray:
     """Affine evaluation: (batch, horizons, levels) predictions."""
     x = _flatten_windows(windows)
-    m, k = model.horizons, model.levels
+    _, m, k = model.coef.shape
     flat = x @ model.coef.reshape(x.shape[1], m * k) + model.intercept.ravel()
     return flat.reshape(x.shape[0], m, k)

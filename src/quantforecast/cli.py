@@ -1,7 +1,8 @@
 """Experiment command line.
 
 Subcommands: generate (synthetic series to CSV), train (single run),
-experiment (multi-run campaign), report (re-aggregate persisted runs),
+experiment (multi-run campaign), report (re-aggregate persisted runs,
+labelled from the campaign's config.json beside them),
 gradcheck (gradient acceptance suite). A JSON config file may supply any
 experiment field, with a value of the type the field declares, and no
 other key; flags override file values. The QUANTFORECAST_OUT environment
@@ -22,8 +23,9 @@ import warnings
 from .datapipe import FILE_SCHEMAS, GENERATORS, write_series_csv
 from .errors import ConfigError, ForecastError
 from .evaluation import aggregate_runs
-from .experiment import (STRATEGIES, ExperimentConfig, emit_report,
-                         load_run_reports, resolve_output_dir, run_experiment)
+from .experiment import (STRATEGIES, ExperimentConfig, campaign_label,
+                         emit_report, load_run_reports, resolve_output_dir,
+                         run_experiment)
 from .gradsuite import TOL, run_suite
 from .models import FAMILIES
 
@@ -71,12 +73,15 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
 def _experiment_config(args, runs: int | None = None) -> ExperimentConfig:
     fields: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: not valid JSON: "
-                                  f"{exc}") from None
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ConfigError(f"{args.config}: not valid JSON: "
+                              f"{exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"{args.config}: cannot read: "
+                              f"{exc.strerror}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: expected a JSON object of "
                               f"experiment fields, got "
@@ -145,7 +150,8 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"no run_*.json files under {args.runs_dir}")
     aggregate = aggregate_runs(reports)
     out = resolve_output_dir(args.out)
-    paths = emit_report(aggregate, args.format, out)
+    paths = emit_report(aggregate, args.format, out,
+                        label=campaign_label(args.runs_dir))
     for p in paths:
         print(f"wrote {p}")
     return 0

@@ -1,6 +1,8 @@
 """Dataset acquisition, sliding windows, normalisation and the 80:20 split.
 
-The dataset list is two tables, GENERATORS and FILE_SCHEMAS.
+The dataset list is two tables, GENERATORS and FILE_SCHEMAS. A RawSeries
+carries its dataset's name; the WindowedDataset made from it carries only
+arrays and pipeline state.
 
 CSV schemas (header row required, rows re-sorted ascending by date; given
 no schema, load_csv reads a header holding the five market columns as
@@ -275,7 +277,6 @@ class WindowedDataset:
     scales and splits in one step, so a dataset with train_idx set holds
     scaled arrays, and series_min and series_max invert the scaling.
     """
-    name: str
     inputs: np.ndarray   # (N, d, f)
     targets: np.ndarray  # (N, m)
     window: int
@@ -353,9 +354,8 @@ def make_windows(series: RawSeries, window: int,
     inputs = inputs.transpose(0, 2, 1).copy()
     targets = sliding_window_view(series.values[d:, target_index], m).copy()
     return WindowedDataset(
-        name=series.name, inputs=inputs, targets=targets, window=d,
-        horizons=m, feature_names=list(series.columns),
-        target_index=target_index,
+        inputs=inputs, targets=targets, window=d, horizons=m,
+        feature_names=list(series.columns), target_index=target_index,
         series_min=series.values.min(axis=0),
         series_max=series.values.max(axis=0))
 
@@ -390,7 +390,7 @@ def normalize_and_split(dataset: WindowedDataset, seed: int,
     for arr in (inputs, targets, train_idx, test_idx):
         arr.flags.writeable = False
     return WindowedDataset(
-        name=dataset.name, inputs=inputs, targets=targets,
+        inputs=inputs, targets=targets,
         window=dataset.window, horizons=dataset.horizons,
         feature_names=list(dataset.feature_names),
         target_index=dataset.target_index,

@@ -316,13 +316,30 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     reports.sort(key=lambda r: r.seed)
     aggregate = aggregate_runs(reports, runs_requested=config.runs,
                                failures=failures)
-    emit_report(aggregate, "csv", out_dir, label=_label(config))
+    emit_report(aggregate, "csv", out_dir,
+                label=_label(config.family, config.strategy, config.quantile))
     return aggregate
 
 
-def _label(config: ExperimentConfig) -> dict:
-    return {"model": config.family, "strategy": config.strategy,
-            "quantile": "yes" if config.quantile else "no"}
+def _label(family: str, strategy: str, quantile: bool) -> dict:
+    return {"model": family, "strategy": strategy,
+            "quantile": "yes" if quantile else "no"}
+
+
+def campaign_label(runs_dir) -> dict | None:
+    """The aggregate label of the campaign whose config.json sits beside
+    runs_dir, or None when there is none. Only the family, strategy and
+    quantile keys are read, so a config.json holding keys that
+    ExperimentConfig no longer has still labels its runs."""
+    path = Path(runs_dir).absolute().parent / "config.json"
+    if not path.is_file():
+        return None
+    try:
+        d = json.loads(path.read_text(encoding="utf-8"))
+        return _label(d["family"], d["strategy"], d["quantile"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: not a campaign config "
+                          f"({type(exc).__name__}: {exc})") from None
 
 
 def load_run_reports(runs_dir) -> list[RunReport]:
@@ -371,8 +388,6 @@ def _write_aggregate_csv(path: Path, agg: AggregateReport, label: dict) -> Path:
         writer = csv.writer(fh)
         writer.writerow(["model", "strategy", "quantile", "metric",
                          "step_or_quantile", "mean", "ci_half_width"])
-        if agg.runs_completed == 0:
-            return path  # header-only for an empty aggregate
         base = [label["model"], label["strategy"], label["quantile"]]
         writer.writerow(base + ["mean_rmse", "", _fmt(agg.mean_rmse.mean),
                                 _fmt(agg.mean_rmse.half_width)])
@@ -390,8 +405,6 @@ def _write_wide_table(path: Path, agg: AggregateReport) -> Path:
         writer = csv.writer(fh)
         steps = [f"Step {j}" for j in range(1, len(agg.per_horizon) + 1)]
         writer.writerow(["Mean"] + steps)
-        if agg.runs_completed == 0:
-            return path
         writer.writerow(
             [f"{agg.mean_rmse.mean:.4f} +- {agg.mean_rmse.half_width:.4f}"]
             + [f"{c.mean:.4f} +- {c.half_width:.4f}" for c in agg.per_horizon])
@@ -424,9 +437,9 @@ def _write_trace(path: Path, config: ExperimentConfig, targets: np.ndarray,
 def _write_svg(path: Path, agg: AggregateReport) -> Path:
     """Minimal self-contained error-bar chart of per-horizon RMSE."""
     width, height, margin = 640, 400, 60
-    cells = agg.per_horizon if agg.runs_completed else []
-    n = max(len(cells), 1)
-    top = max((c.mean + c.half_width for c in cells), default=1.0)
+    cells = agg.per_horizon
+    n = len(cells)
+    top = max(c.mean + c.half_width for c in cells)
     top = top * 1.15 if top > 0 else 1.0
 
     def sx(j):

@@ -4,7 +4,9 @@ Predictions carry one value per (horizon, quantile) cell, laid out as
 (batch, horizons, levels); targets are (batch, horizons). The batched
 losses send arrays and graph tensors through the same engine ops, so the
 training loop, the quantile linear fit and any array caller score with
-one pinball.
+one pinball, quantile_loss_batch; a single residual is scored as a
+(1, 1) target against a (1, 1, 1) prediction. check_quantiles owns the
+rule for a quantile set; the engine op only guards its levels to [0, 1].
 """
 
 from __future__ import annotations
@@ -42,15 +44,6 @@ class LossValue:
     """
     total: float
     node: Tensor
-
-
-def pinball(y: float, y_hat: float, q: float) -> float:
-    """Check loss of a single residual: q*(y - y_hat) if y >= y_hat,
-    else (q - 1)*(y - y_hat)."""
-    if not 0.0 < q < 1.0:
-        raise InvalidQuantile(f"quantile {q} outside (0, 1)")
-    u = y - y_hat
-    return q * u if u >= 0 else (q - 1.0) * u
 
 
 def quantile_loss_batch(targets: np.ndarray, predictions, quantiles) -> LossValue:

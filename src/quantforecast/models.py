@@ -160,10 +160,8 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
         _param(params, "conv.b", (spec.conv_filters,))
         _lstm_params(rng, "lstm1", spec.conv_filters, h1, params)
         _head_params(rng, h1, m * k, params)
-    elif spec.family == "linear":
+    else:  # linear
         _head_params(rng, d * f, m * k, params)
-    else:  # pragma: no cover - guarded by ModelSpec
-        raise ConfigError(f"unknown model family {spec.family!r}")
     return Model(spec, params)
 
 
@@ -294,12 +292,10 @@ def forward_pass(model: Model, window_batch) -> Tensor:
                         "lstm1")
             stage = "head"
             out = _dense(seq[-1], params)
-        elif spec.family == "linear":
+        else:  # linear
             stage = "head"
             out = _dense(reshape(x, (batch, spec.window * spec.features)),
                          params)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown model family {spec.family!r}")
     except NumericalError as exc:
         raise NumericalError(f"{spec.family} {stage}: {exc}") from exc
     return reshape(out, (batch, m, k))

@@ -16,7 +16,7 @@ from quantforecast.baselines import fit_ols, fit_quantile_linear
 from quantforecast.experiment import ExperimentConfig, load_run_reports, \
     run_experiment
 from quantforecast.gradsuite import check_all_families, check_all_ops
-from quantforecast.losses import DEFAULT_QUANTILES, pinball
+from quantforecast.losses import DEFAULT_QUANTILES, quantile_loss_batch
 
 RESULTS: dict[str, str] = {}
 
@@ -83,6 +83,12 @@ class TestCriterion1Gradients:
                     f"family configs, max rel err {worst:.2e}, {wall:.1f}s")
 
 
+def pinball(y: float, y_hat: float, q: float) -> float:
+    """The program's pinball loss of one residual, scored as one cell."""
+    return quantile_loss_batch(np.array([[y]]), np.array([[[y_hat]]]),
+                               (q,)).total
+
+
 class TestCriterion2PinballValues:
     def test_unit_values_exact(self):
         assert abs(pinball(1.0, 0.5, 0.95) - 0.475) <= 1e-15
@@ -104,7 +110,7 @@ class TestCriterion3QuantileMinimizer:
         from quantforecast.datapipe import WindowedDataset
         n = sample.size
         dataset = WindowedDataset(
-            name="sample", inputs=rng.uniform(size=(n, 2, 1)) * 1e-12,
+            inputs=rng.uniform(size=(n, 2, 1)) * 1e-12,
             targets=sample[:, None], window=2, horizons=1,
             feature_names=["value"], target_index=0,
             series_min=np.array([0.0]), series_max=np.array([1.0]),
@@ -259,7 +265,7 @@ class TestCriterion10BaselineSanity:
         noise = rng.uniform(-0.25, 0.25, size=n)  # symmetric about 0
         targets = (inputs[:, :, 0] @ slope + 0.1 + noise)[:, None]
         dataset = WindowedDataset(
-            name="sym", inputs=inputs, targets=targets, window=d, horizons=1,
+            inputs=inputs, targets=targets, window=d, horizons=1,
             feature_names=["value"], target_index=0,
             series_min=np.array([-1.0]), series_max=np.array([1.0]),
             train_idx=np.arange(n),

@@ -276,6 +276,28 @@ class TestGradCheckHarness:
         assert report.blocks["p"] == (np.inf, 0)
         assert not report.passed
 
+    @pytest.mark.parametrize("op", [add, sub, hadamard],
+                             ids=["add", "sub", "hadamard"])
+    @pytest.mark.parametrize("a_shape, b_shape",
+                             [((3, 1), (3, 4)), ((1, 4), (3, 4)),
+                              ((3, 4), (1, 1))],
+                             ids=["3x1-3x4", "1x4-3x4", "3x4-1x1"])
+    def test_broadcast_operands_sum_gradients_back(self, op, a_shape,
+                                                   b_shape):
+        # A size-1 axis of either operand is stretched in the forward
+        # pass, so its gradient is the sum over that axis.
+        normal = np.random.default_rng(4).standard_normal
+        params = {"a": Tensor(normal(a_shape), requires_grad=True),
+                  "b": Tensor(normal(b_shape), requires_grad=True)}
+        weights = Tensor(normal((3, 4)))
+
+        def loss_fn():
+            return reduce_mean(hadamard(op(params["a"], params["b"]),
+                                        weights))
+
+        report = grad_check(loss_fn, params)
+        assert report.passed, report.blocks
+
 
 class TestSuiteProperties:
     def test_every_op_kind_passes_randomised_check(self):

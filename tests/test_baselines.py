@@ -16,7 +16,7 @@ def dataset_from_arrays(inputs, targets, train_share=1.0):
     n = inputs.shape[0]
     split = int(round(train_share * n))
     return WindowedDataset(
-        name="synthetic", inputs=inputs, targets=targets,
+        inputs=inputs, targets=targets,
         window=inputs.shape[1], horizons=targets.shape[1],
         feature_names=[f"f{i}" for i in range(inputs.shape[2])],
         target_index=0, series_min=np.zeros(inputs.shape[2]),

@@ -25,6 +25,15 @@ def experiment_choices(flag):
                 if flag in a.option_strings)
 
 
+def linear_campaign(out):
+    """A 2-run classic linear campaign under out, which it returns."""
+    assert main(["experiment", "--dataset", "mackey-glass", "--family",
+                 "linear", "--runs", "2", "--data-steps", "200",
+                 "--window", "4", "--horizons", "2", "--no-quantile",
+                 "--out", str(out)]) == 0
+    return out
+
+
 class TestGenerate:
     def test_mackey_glass_to_csv(self, tmp_path, capsys):
         out = tmp_path / "mg.csv"
@@ -257,6 +266,22 @@ class TestExperimentCommand:
         assert err.startswith("config error:") and str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_path_exit_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'\xff{"dataset": "mackey-glass"}')
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--config", str(path), "--runs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("window", "5"), ("quantiles", 5), ("quantile", "no"),
         ("epochs", True), ("learning_rate", "0.1"),
@@ -380,6 +405,20 @@ class TestReportCommand:
         assert code == 0
         assert (tmp_path / "report.svg").read_text().startswith("<svg")
 
+    def test_reaggregation_reproduces_campaign_tables(self, tmp_path):
+        campaign = linear_campaign(tmp_path / "campaign")
+        # A config written before a field was removed still labels its runs.
+        config = json.loads((campaign / "config.json").read_text())
+        config["clip_norm"] = 1.0
+        (campaign / "config.json").write_text(json.dumps(config))
+        again = tmp_path / "tables"
+        code = main(["report", "--runs-dir", str(campaign / "runs"),
+                     "--format", "csv", "--out", str(again)])
+        assert code == 0
+        for name in ("aggregate.csv", "table.csv", "per_horizon_rmse.csv"):
+            assert (again / name).read_bytes() == \
+                (campaign / name).read_bytes(), name
+
     def test_empty_dir_exit_1(self, tmp_path):
         assert main(["report", "--runs-dir", str(tmp_path)]) == 1
 
@@ -395,6 +434,18 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not a run report")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_campaign_config_exit_2(self, tmp_path, capsys):
+        campaign = linear_campaign(tmp_path / "campaign")
+        (campaign / "config.json").write_text('{"family": "linear"}')
+        out = tmp_path / "tables"
+        code = main(["report", "--runs-dir", str(campaign / "runs"),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {campaign / 'config.json'}: "
+                              f"not a campaign config")
         assert not out.exists()
 
 

@@ -44,14 +44,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             tiny_config(tmp_path, **kw)
 
-    def test_defaults_by_dataset_kind(self, tmp_path):
+    def test_defaults_by_dataset_kind(self, tmp_path, quoted_market_csv):
         benchmark = tiny_config(tmp_path, window=None, horizons=None)
         assert (benchmark.window, benchmark.horizons) == (5, 10)
-        market = ExperimentConfig(
-            name="m", dataset="bitcoin", family="edlstm",
-            csv_path="x.csv", window=None, horizons=None,
-            output_dir=str(tmp_path))
-        assert (market.window, market.horizons) == (6, 5)
+        # The market defaults follow the schema a campaign reads, not the
+        # file's header: a csv of market rows read univariate gets the
+        # benchmark defaults.
+        for dataset, strategy, expected in (
+                ("bitcoin", "univariate", (6, 5, 100)),
+                ("ethereum", "univariate", (6, 5, 100)),
+                ("csv", "multivariate", (6, 5, 100)),
+                ("csv", "univariate", (5, 10, 300))):
+            config = ExperimentConfig(
+                name="m", dataset=dataset, family="edlstm",
+                strategy=strategy, csv_path=str(quoted_market_csv),
+                output_dir=str(tmp_path))
+            assert (config.window, config.horizons, config.epochs) \
+                == expected, (dataset, strategy)
 
     def test_classic_model_forces_single_level(self, tmp_path):
         config = tiny_config(tmp_path, quantile=False)
@@ -323,18 +332,6 @@ class TestEmitReport:
         text = paths[0].read_text()
         assert text.startswith("<svg")
         assert "Step 5" in text
-
-    def test_empty_aggregate_header_only(self, tmp_path):
-        empty = AggregateReport(
-            runs_requested=0, runs_completed=0, quantiles=(0.5,),
-            mean_rmse=AggregateCell(0.0, 0.0), per_horizon=[],
-            per_quantile=[])
-        emit_report(empty, "csv", tmp_path)
-        lines = (tmp_path / "aggregate.csv").read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("model,")
-        assert len((tmp_path / "table.csv").read_text().splitlines()) == 1
-        emit_report(empty, "svg-plot-data", tmp_path)
-        assert (tmp_path / "report.svg").read_text().startswith("<svg")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -7,8 +7,14 @@ from quantforecast.engine import (Tensor, backward, pinball_branch,
                                   reduce_mean, sub)
 from quantforecast.errors import InvalidQuantile, ShapeError
 from quantforecast.losses import (DEFAULT_QUANTILES, check_quantiles,
-                                  mse_loss_batch, pinball,
-                                  quantile_loss_batch)
+                                  mse_loss_batch, quantile_loss_batch)
+
+
+def pinball(y, y_hat, q):
+    """The batched loss of one residual: a (1, 1) target against a
+    (1, 1, 1) prediction at the single level q."""
+    return quantile_loss_batch(np.array([[y]]), np.array([[[y_hat]]]),
+                               (q,)).total
 
 
 def pinball_loops(targets, predictions, quantiles):

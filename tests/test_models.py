@@ -306,7 +306,7 @@ class TestForwardPass:
         c = 0.6
         n, d, m = 40, 4, 2
         dataset = WindowedDataset(
-            name="const", inputs=np.full((n, d, 1), c),
+            inputs=np.full((n, d, 1), c),
             targets=np.full((n, m), c), window=d, horizons=m,
             feature_names=["value"], target_index=0,
             series_min=np.array([0.0]), series_max=np.array([1.0]),

@@ -74,7 +74,7 @@ def linear_dataset(n=64, seed=0):
     targets = inputs[:, :, 0] @ w + b
     split = int(0.8 * n)
     return WindowedDataset(
-        name="linear", inputs=inputs, targets=targets, window=d, horizons=m,
+        inputs=inputs, targets=targets, window=d, horizons=m,
         feature_names=["value"], target_index=0,
         series_min=np.array([0.0]), series_max=np.array([1.0]),
         train_idx=np.arange(split),
@@ -180,7 +180,7 @@ class TestRecordedOps:
         rng = np.random.default_rng(0)
         for f in (1, 3):
             dataset = WindowedDataset(
-                name="toy", inputs=rng.uniform(size=(4, 4, f)),
+                inputs=rng.uniform(size=(4, 4, f)),
                 targets=rng.uniform(size=(4, 2)), window=4, horizons=2,
                 feature_names=[f"x{j}" for j in range(f)], target_index=0,
                 series_min=np.zeros(f), series_max=np.ones(f),
@@ -221,7 +221,7 @@ class TestRecordedOps:
         d, m = 4, 3
         rng = np.random.default_rng(0)
         dataset = WindowedDataset(
-            name="toy", inputs=rng.uniform(size=(4, d, 1)),
+            inputs=rng.uniform(size=(4, d, 1)),
             targets=rng.uniform(size=(4, m)), window=d,
             horizons=m, feature_names=["x"], target_index=0,
             series_min=np.zeros(1), series_max=np.ones(1),
@@ -260,7 +260,7 @@ class TestQuantileSeparation:
             inputs = np.full((n, d, 1), 0.5)
             targets = 0.5 + rng.uniform(-0.3, 0.3, size=(n, m))
             dataset = WindowedDataset(
-                name="noise", inputs=inputs, targets=targets, window=d,
+                inputs=inputs, targets=targets, window=d,
                 horizons=m, feature_names=["value"], target_index=0,
                 series_min=np.array([0.0]), series_max=np.array([1.0]),
                 train_idx=np.arange(160),
