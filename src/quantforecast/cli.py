@@ -23,11 +23,10 @@ import warnings
 from .datapipe import FILE_SCHEMAS, GENERATORS, write_series_csv
 from .errors import ConfigError, ForecastError
 from .evaluation import aggregate_runs
-from .experiment import (STRATEGIES, ExperimentConfig, campaign_label,
-                         emit_report, load_run_reports, resolve_output_dir,
-                         run_experiment)
+from .experiment import (FAMILIES, STRATEGIES, ExperimentConfig,
+                         campaign_label, emit_report, load_run_reports,
+                         resolve_output_dir, run_experiment)
 from .gradsuite import TOL, run_suite
-from .models import FAMILIES
 
 
 class _Parser(argparse.ArgumentParser):

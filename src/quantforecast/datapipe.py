@@ -335,14 +335,20 @@ def target_column(columns: list[str]) -> int:
     return columns.index("close") if "close" in columns else 0
 
 
+def check_geometry(window: int, horizons: int) -> None:
+    """A window spans at least two steps and predicts at least one."""
+    if window < 2 or horizons < 1:
+        raise ConfigError(f"need window >= 2 and horizons >= 1, "
+                          f"got d={window} m={horizons}")
+
+
 def make_windows(series: RawSeries, window: int,
                  horizons: int) -> WindowedDataset:
     """Slide a (window, horizons) frame over the series: N = T - d - m + 1
     aligned pairs. Inputs keep all features; targets take the
     target_column."""
     d, m = int(window), int(horizons)
-    if d < 2 or m < 1:
-        raise ConfigError(f"need window >= 2 and horizons >= 1, got d={d} m={m}")
+    check_geometry(d, m)
     t_len = series.length
     if t_len <= d + m:
         raise InsufficientData(

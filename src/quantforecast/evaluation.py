@@ -69,9 +69,9 @@ def make_run_report(seed: int, targets: np.ndarray, predictions: np.ndarray,
         raise ShapeError("run-report", y.shape, p.shape)
     if y.size == 0:
         raise EmptyEval("run report over an empty test set")
-    if len(qs) > 1 and 0.5 not in qs:
+    if 0.5 not in qs:
         raise MissingMedian(f"0.5 not in quantile set {qs}")
-    median = qs.index(0.5) if 0.5 in qs else 0
+    median = qs.index(0.5)
     # One (n, m) reduction per level: reducing a broadcast (n, m, K) error
     # array over windows sums in another order when m = 1, and the scores
     # then differ in the last bit.

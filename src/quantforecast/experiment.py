@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 import types
@@ -32,24 +33,27 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines
-from .datapipe import (FILE_SCHEMAS, GENERATORS, RawSeries, downsample,
-                       load_csv, make_windows, normalize_and_split,
-                       target_column)
+from . import baselines, models
+from .datapipe import (FILE_SCHEMAS, GENERATORS, RawSeries, check_geometry,
+                       downsample, load_csv, make_windows,
+                       normalize_and_split, target_column)
 from .engine import SeededRng
 from .errors import ConfigError, EmptyEval, IoError, SchemaError
 from .evaluation import (AggregateReport, RunReport, aggregate_runs,
                          make_run_report)
 from .losses import DEFAULT_QUANTILES, check_quantiles
-from .models import FAMILIES, ModelSpec, build_model, forward_pass
+from .models import ModelSpec, build_model, forward_pass
 from .training import TrainConfig, train
 
+# The campaign families: the neural ones, trained by train(), and linear,
+# fitted by baselines.
+FAMILIES = (*models.FAMILIES, "linear")
 STRATEGIES = ("univariate", "multivariate")
 
 # Table of hidden sizes per family: market datasets follow the reference
 # architecture table; generated/univariate benchmarks reuse the same sizes.
 DEFAULT_HIDDEN = {"lstm": (50, 50), "bdlstm": (50, 50), "edlstm": (100, 100),
-                  "convlstm": (20, 20), "linear": (1, 1)}
+                  "convlstm": (20, 20)}
 
 
 @dataclass
@@ -125,7 +129,7 @@ class ExperimentConfig:
                               f"reads no --csv-path")
         self.quantiles = check_quantiles(self.quantiles) if self.quantile \
             else (0.5,)
-        if len(self.quantiles) > 1 and 0.5 not in self.quantiles:
+        if 0.5 not in self.quantiles:
             raise ConfigError(f"quantile set {self.quantiles} must include "
                               f"0.5, the level the run reports score")
         is_market = _schema(self) == "market"
@@ -133,17 +137,26 @@ class ExperimentConfig:
             self.window = 6 if is_market else 5
         if self.horizons is None:
             self.horizons = 5 if is_market else 10
-        h1, h2 = DEFAULT_HIDDEN[self.family]
-        if self.hidden1 is None:
-            self.hidden1 = h1
-        if self.hidden2 is None:
-            self.hidden2 = h2
-        if self.epochs is None:
-            self.epochs = 100 if is_market else 300
         # Bad generator, geometry and training numbers fail before any run.
         _generator_params(self)
-        _model_spec(self, 1)
-        _train_config(self)
+        check_geometry(self.window, self.horizons)
+        if self.family == "linear":
+            given = [name for name in ("hidden1", "hidden2", "epochs")
+                     if getattr(self, name) is not None]
+            if given:
+                raise ConfigError(f"family 'linear' is fitted by the "
+                                  f"baselines and takes no "
+                                  f"{', '.join(given)}")
+        else:
+            h1, h2 = DEFAULT_HIDDEN[self.family]
+            if self.hidden1 is None:
+                self.hidden1 = h1
+            if self.hidden2 is None:
+                self.hidden2 = h2
+            if self.epochs is None:
+                self.epochs = 100 if is_market else 300
+            _model_spec(self, 1)
+            _train_config(self)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -181,11 +194,15 @@ def _conforms(value, hint) -> bool:
 
 
 def _check_field_types(config: ExperimentConfig) -> None:
+    """Every field holds a value its annotation allows, and a float field
+    a finite one, whether or not the campaign's family reads it."""
     for f in fields(config):
         value = getattr(config, f.name)
         if not _conforms(value, _FIELD_TYPES[f.name]):
             raise ConfigError(f"{f.name} must be {f.type}, got "
                               f"{type(value).__name__} {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def build_series(config: ExperimentConfig) -> RawSeries:

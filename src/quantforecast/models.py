@@ -16,7 +16,6 @@ Families and wiring (window d, features f, horizons m, levels K = |Q|):
   convlstm  one valid conv over time, kernel 2, spanning all f features,
             64 filters + bias + relu -> sequence of length d-1 ->
             LSTM(h1) -> dense head.
-  linear    single affine map from the flattened window (d*f, m*K).
 
 Parameter shape table (per LSTM stage with input width n, hidden width h;
 gate blocks ordered [input, forget, cell, output] along the fused axis):
@@ -53,7 +52,7 @@ from .engine import (SeededRng, Tensor, add, concat, conv1d, hadamard, matmul,
 from .errors import ConfigError, NumericalError, ShapeError
 from .losses import check_quantiles
 
-FAMILIES = ("lstm", "bdlstm", "edlstm", "convlstm", "linear")
+FAMILIES = ("lstm", "bdlstm", "edlstm", "convlstm")
 # The convlstm kernel spans two time steps; a window has at least two.
 CONV_KERNEL = 2
 
@@ -134,7 +133,7 @@ def _head_params(rng: SeededRng, n_in: int, n_out: int,
 def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
     """Instantiate the parameter set for a spec; draws are consumed in the
     fixed order of the shape table, so one seed pins every weight."""
-    f, d, m, k = spec.features, spec.window, spec.horizons, spec.levels
+    f, m, k = spec.features, spec.horizons, spec.levels
     h1, h2 = spec.hidden1, spec.hidden2
     params: dict[str, Tensor] = {}
 
@@ -151,7 +150,7 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
         _lstm_params(rng, "enc", f, h1, params)
         _lstm_params(rng, "dec", h1, h2, params)
         _head_params(rng, h2, k, params)
-    elif spec.family == "convlstm":
+    else:  # convlstm
         if f == 1:
             kernel_shape = (CONV_KERNEL, 1, spec.conv_filters)
         else:
@@ -160,8 +159,6 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
         _param(params, "conv.b", (spec.conv_filters,))
         _lstm_params(rng, "lstm1", spec.conv_filters, h1, params)
         _head_params(rng, h1, m * k, params)
-    else:  # linear
-        _head_params(rng, d * f, m * k, params)
     return Model(spec, params)
 
 
@@ -220,20 +217,6 @@ def _dense(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return add(matmul(x, params["head.w"]), params["head.b"])
 
 
-def bidirectional_sequence(model: Model, x: Tensor) -> list[Tensor]:
-    """The per-step concatenated forward/backward states of a bdlstm,
-    window steps of (batch, 2*h1), before the second recurrent stage. The
-    backward stage runs over the reversed steps; its states are reversed
-    back so step t pairs both directions' states at input time t."""
-    if model.spec.family != "bdlstm":
-        raise ConfigError("bidirectional sequence only defined for bdlstm")
-    steps = _steps(x)
-    fwd = _lstm(_project(steps, model.params, "fwd"), model.params, "fwd")
-    bwd = _lstm(_project(steps[::-1], model.params, "bwd"), model.params,
-                "bwd")[::-1]
-    return [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-
-
 def forward_pass(model: Model, window_batch) -> Tensor:
     """Predictions of shape (batch, horizons, levels) for a window batch of
     shape (batch, window, features). A non-finite intermediate raises
@@ -261,7 +244,14 @@ def forward_pass(model: Model, window_batch) -> Tensor:
             out = _dense(seq2[-1], params)
         elif spec.family == "bdlstm":
             stage = "bidirectional"
-            merged = bidirectional_sequence(model, x)
+            # The backward stage runs over the reversed steps; its states
+            # are reversed back, so step t pairs both directions' states
+            # at input time t.
+            steps = _steps(x)
+            merged = [concat([f, b], axis=1) for f, b in zip(
+                _lstm(_project(steps, params, "fwd"), params, "fwd"),
+                _lstm(_project(steps[::-1], params, "bwd"), params,
+                      "bwd")[::-1])]
             stage = "lstm2"
             seq2 = _lstm(_project(merged, params, "lstm2"), params, "lstm2")
             stage = "head"
@@ -280,7 +270,7 @@ def forward_pass(model: Model, window_batch) -> Tensor:
             # rows, which the final reshape returns to (batch, m, K).
             out = _dense(reshape(concat(dec, axis=1),
                                  (batch * m, spec.hidden2)), params)
-        elif spec.family == "convlstm":
+        else:  # convlstm
             stage = "conv"
             w = params["conv.w"]
             if spec.features > 1:  # (k, f, 1, filters) -> (k, f, filters)
@@ -292,10 +282,6 @@ def forward_pass(model: Model, window_batch) -> Tensor:
                         "lstm1")
             stage = "head"
             out = _dense(seq[-1], params)
-        else:  # linear
-            stage = "head"
-            out = _dense(reshape(x, (batch, spec.window * spec.features)),
-                         params)
     except NumericalError as exc:
         raise NumericalError(f"{spec.family} {stage}: {exc}") from exc
     return reshape(out, (batch, m, k))

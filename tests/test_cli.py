@@ -9,8 +9,7 @@ import pytest
 from quantforecast.cli import _experiment_config, build_parser, main
 from quantforecast.datapipe import (FILE_SCHEMAS, GENERATORS, LorenzParams,
                                     gen_lorenz, load_csv)
-from quantforecast.experiment import STRATEGIES
-from quantforecast.models import FAMILIES
+from quantforecast.experiment import FAMILIES, STRATEGIES
 
 
 def command_actions(command):
@@ -187,6 +186,37 @@ class TestExperimentCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--hidden1", "50"], "hidden1"), (["--epochs", "7"], "epochs"),
+        (["--hidden1", "0"], "hidden1")])
+    def test_neural_setting_on_linear_campaign_exit_1(self, tmp_path, capsys,
+                                                      flags, named):
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--dataset", "mackey-glass",
+                     "--family", "linear", "--runs", "1",
+                     "--data-steps", "200", "--out", str(out)] + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert f"takes no {named}" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_old_linear_config_file_exit_1(self, tmp_path, capsys):
+        # A linear config.json written before linear campaigns stopped
+        # resolving hidden sizes and epochs names all three.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": "mackey-glass", "family": "linear", "hidden1": 1,
+            "hidden2": 1, "epochs": 300}))
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--config", str(path), "--runs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "takes no hidden1, hidden2, epochs" in err
         assert not out.exists()
 
     def test_invalid_combination_exit_1(self, tmp_path, capsys):

@@ -86,6 +86,11 @@ class TestQuantileRmse:
         with pytest.raises(MissingMedian):
             score(np.zeros((2, 2)), np.zeros((2, 2, 2)), (0.25, 0.75))
 
+    def test_single_level_must_be_the_median(self):
+        # mean_rmse is the 0.5 level's, so a lone 0.9 level is not scored
+        with pytest.raises(MissingMedian, match=r"\(0\.9,\)"):
+            score(np.zeros((2, 2)), np.zeros((2, 2, 1)), (0.9,))
+
 
 class TestCoverage:
     def test_all_inside_band(self, rng):

@@ -9,9 +9,11 @@ import pytest
 
 from quantforecast.errors import ConfigError, SchemaError
 from quantforecast.evaluation import AggregateCell, AggregateReport
-from quantforecast.experiment import (ExperimentConfig, build_series,
+from quantforecast.experiment import (DEFAULT_HIDDEN, FAMILIES,
+                                      ExperimentConfig, build_series,
                                       emit_report, load_run_reports,
                                       run_experiment)
+from quantforecast.models import FAMILIES as MODEL_FAMILIES
 
 
 def tiny_config(tmp_path, **kw):
@@ -122,9 +124,11 @@ class TestConfigValidation:
         assert config.quantiles == (0.25, 0.5, 0.75)
 
     def test_quantile_set_without_median_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="must include 0.5"):
-            tiny_config(tmp_path, quantiles=(0.1, 0.9))
-        assert tiny_config(tmp_path, quantiles=(0.9,)).quantiles == (0.9,)
+        # The run reports score the 0.5 level, also in a one-level set.
+        for quantiles in ((0.1, 0.9), (0.9,)):
+            with pytest.raises(ConfigError, match="must include 0.5"):
+                tiny_config(tmp_path, quantiles=quantiles)
+        assert tiny_config(tmp_path, quantiles=(0.5,)).quantiles == (0.5,)
         # a classic model is single-level whatever quantiles says
         classic = tiny_config(tmp_path, quantile=False, quantiles=(0.1, 0.9))
         assert classic.quantiles == (0.5,)
@@ -132,6 +136,23 @@ class TestConfigValidation:
     def test_unset_hidden_sizes_take_family_defaults(self, tmp_path):
         config = tiny_config(tmp_path, family="lstm", hidden2=7)
         assert (config.hidden1, config.hidden2) == (50, 7)
+
+    def test_linear_campaign_resolves_no_neural_settings(self, tmp_path):
+        config = tiny_config(tmp_path)
+        assert (config.hidden1, config.hidden2, config.epochs) \
+            == (None, None, None)
+        assert DEFAULT_HIDDEN.keys() == set(MODEL_FAMILIES)
+        assert FAMILIES == (*MODEL_FAMILIES, "linear")
+
+    @pytest.mark.parametrize("kw, named", [
+        (dict(hidden1=50), "hidden1"), (dict(hidden2=0), "hidden2"),
+        (dict(epochs=7), "epochs"),
+        (dict(hidden1=1, hidden2=1, epochs=300), "hidden1, hidden2, epochs")])
+    def test_neural_setting_on_linear_campaign_rejected(self, tmp_path, kw,
+                                                        named):
+        with pytest.raises(ConfigError,
+                           match=f"'linear' .* takes no {named}$"):
+            tiny_config(tmp_path, **kw)
 
 
 class TestBuildSeries:

@@ -8,8 +8,7 @@ from quantforecast.engine import (SeededRng, Tensor, add, concat, conv1d,
                                   matmul)
 from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
-from quantforecast.models import (FAMILIES, ModelSpec,
-                                  bidirectional_sequence, build_model,
+from quantforecast.models import (FAMILIES, ModelSpec, build_model,
                                   forward_pass)
 
 from lstm_oracle import lstm_cell_step
@@ -45,11 +44,6 @@ def toy_spec(family, f=1, quantiles=(0.5,), **kw):
                     quantiles=quantiles)
     defaults.update(kw)
     return ModelSpec(family=family, **defaults)
-
-
-def stacked(states):
-    """Per-step (batch, width) tensors -> (batch, time, width) array."""
-    return np.stack([s.data for s in states], axis=1)
 
 
 def oracle_lstm(steps, params, prefix):
@@ -120,6 +114,12 @@ class TestSpecValidation:
             ModelSpec(family="transformer", features=1, window=4, horizons=2,
                       hidden1=3, hidden2=3)
 
+    def test_linear_is_not_a_model_family(self):
+        # The linear comparator is fitted by baselines, not built here.
+        assert FAMILIES == ("lstm", "bdlstm", "edlstm", "convlstm")
+        with pytest.raises(ConfigError, match="unknown model family"):
+            toy_spec("linear")
+
     def test_bad_geometry(self):
         with pytest.raises(ConfigError):
             toy_spec("lstm", window=1)
@@ -136,7 +136,7 @@ class TestSpecValidation:
             toy_spec("convlstm", conv_filters=0)
 
 
-def parameter_table(family, f, d, m, k, h1, h2, filters):
+def parameter_table(family, f, m, k, h1, h2, filters):
     """The models shape table in draw order: (name, shape, (fan_in,
     fan_out)) for a Glorot block, fans None for a zero bias."""
     def lstm(prefix, n, h):
@@ -154,14 +154,12 @@ def parameter_table(family, f, d, m, k, h1, h2, filters):
                 + lstm("lstm2", 2 * h1, h2) + head(h2, m * k))
     if family == "edlstm":
         return lstm("enc", f, h1) + lstm("dec", h1, h2) + head(h2, k)
-    if family == "convlstm":
-        # The kernel's receptive field (2 steps, times f features when
-        # multivariate) scales both fans.
-        kernel = (2, 1, filters) if f == 1 else (2, f, 1, filters)
-        return ([("conv.w", kernel, (2 * f, 2 * f * filters)),
-                 ("conv.b", (filters,), None)]
-                + lstm("lstm1", filters, h1) + head(h1, m * k))
-    return head(d * f, m * k)
+    # convlstm: the kernel's receptive field (2 steps, times f features
+    # when multivariate) scales both fans.
+    kernel = (2, 1, filters) if f == 1 else (2, f, 1, filters)
+    return ([("conv.w", kernel, (2 * f, 2 * f * filters)),
+             ("conv.b", (filters,), None)]
+            + lstm("lstm1", filters, h1) + head(h1, m * k))
 
 
 class TestInitialWeights:
@@ -171,8 +169,8 @@ class TestInitialWeights:
         spec = toy_spec(family, f=f, quantiles=DEFAULT_QUANTILES,
                         hidden2=4, conv_filters=5)
         model = build_model(spec, SeededRng(11, (1,)))
-        table = parameter_table(family, f, spec.window, spec.horizons,
-                                spec.levels, spec.hidden1, spec.hidden2, 5)
+        table = parameter_table(family, f, spec.horizons, spec.levels,
+                                spec.hidden1, spec.hidden2, 5)
         assert list(model.params) == [name for name, _, _ in table]
         rng = SeededRng(11, (1,))
         for name, shape, fans in table:
@@ -198,9 +196,9 @@ class TestBuildShapes:
         spec = ModelSpec(family="bdlstm", features=1, window=6, horizons=5,
                          hidden1=50, hidden2=50)
         model = build_model(spec, SeededRng(0))
-        merged = bidirectional_sequence(model, Tensor(np.zeros((2, 6, 1))))
-        assert stacked(merged).shape == (2, 6, 100)
+        # The second stage reads the 2 * h1 concatenated states.
         assert model.params["lstm2.w_x"].shape == (100, 200)
+        assert forward_pass(model, np.zeros((2, 6, 1))).shape == (2, 5, 1)
 
     def test_convlstm_valid_conv_length(self):
         spec = ModelSpec(family="convlstm", features=1, window=6, horizons=5,
@@ -258,8 +256,6 @@ class TestParameterCounts:
         # stacked lstm
         ("lstm", 1, 50, 50, 1,
          lstm_stage_count(1, 50) + lstm_stage_count(50, 50) + head_count(50, 5)),
-        # flat affine map
-        ("linear", 6, 1, 1, 5, head_count(36, 25)),
     ])
     def test_count_matches_closed_form(self, family, f, h1, h2, k, expected):
         quantiles = DEFAULT_QUANTILES if k == 5 else (0.5,)
@@ -278,7 +274,7 @@ class TestForwardPass:
         assert np.allclose(pred.data, 0.25)
 
     def test_batch_independence(self, rng):
-        for family in ("lstm", "bdlstm", "edlstm", "convlstm", "linear"):
+        for family in FAMILIES:
             model = build_model(toy_spec(family, f=1), SeededRng(2))
             window = rng.normal(size=(1, 4, 1))
             single = forward_pass(model, window).data
@@ -319,28 +315,6 @@ class TestForwardPass:
                           loss="mse"), SeededRng(1))
         pred = forward_pass(model, dataset.test_inputs).data[:, :, 0]
         assert np.max(np.abs(pred - c)) < 1e-2
-
-
-class TestBidirectionalSymmetry:
-    def test_reversed_window_with_swapped_blocks_mirrors_sequence(self, rng):
-        spec = toy_spec("bdlstm", f=2)
-        model = build_model(spec, SeededRng(7))
-        window = rng.normal(size=(3, 4, 2))
-        merged = stacked(bidirectional_sequence(model, Tensor(window)))
-
-        swapped = build_model(spec, SeededRng(7))
-        for stage_from, stage_to in (("fwd", "bwd"), ("bwd", "fwd")):
-            for part in ("w_x", "w_h", "b"):
-                swapped.params[f"{stage_to}.{part}"].data[...] = \
-                    model.params[f"{stage_from}.{part}"].data
-        mirrored = stacked(bidirectional_sequence(
-            swapped, Tensor(window[:, ::-1, :].copy())))
-
-        h1 = spec.hidden1
-        # time-mirrored, with the forward/backward halves exchanged
-        expected = np.concatenate(
-            [mirrored[:, ::-1, h1:], mirrored[:, ::-1, :h1]], axis=2)
-        assert np.allclose(merged, expected, atol=1e-12)
 
 
 class TestForwardOracles:

@@ -82,15 +82,15 @@ def linear_dataset(n=64, seed=0):
 
 
 class TestTrainLoop:
-    def test_linear_model_fits_exactly_linear_data(self):
+    def test_toy_lstm_fits_linear_data(self):
         dataset = linear_dataset()
-        spec = ModelSpec(family="linear", features=1, window=3, horizons=2,
-                         hidden1=1, hidden2=1)
+        spec = ModelSpec(family="lstm", features=1, window=3, horizons=2,
+                         hidden1=8, hidden2=8)
         model = build_model(spec, SeededRng(0))
         # 2000 optimisation steps: 2000 epochs x 1 full batch
         result = train(model, dataset,
                        TrainConfig(epochs=2000, batch_size=64,
-                                   learning_rate=1e-2, loss="mse"),
+                                   learning_rate=5e-2, loss="mse"),
                        SeededRng(1))
         assert result.epoch_losses[-1] < 1e-6
         assert len(result.epoch_losses) == 2000
@@ -105,8 +105,8 @@ class TestTrainLoop:
 
     def test_mse_on_multilevel_model_rejected(self):
         dataset = linear_dataset()
-        spec = ModelSpec(family="linear", features=1, window=3, horizons=2,
-                         hidden1=1, hidden2=1, quantiles=(0.25, 0.5, 0.75))
+        spec = ModelSpec(family="lstm", features=1, window=3, horizons=2,
+                         hidden1=3, hidden2=3, quantiles=(0.25, 0.5, 0.75))
         model = build_model(spec, SeededRng(0))
         with pytest.raises(ConfigError):
             train(model, dataset, TrainConfig(epochs=1, loss="mse"),
@@ -133,29 +133,31 @@ class TestTrainLoop:
 
     def test_divergence_names_epoch_and_stage(self):
         dataset = linear_dataset()
-        spec = ModelSpec(family="linear", features=1, window=3, horizons=2,
-                         hidden1=1, hidden2=1)
+        spec = ModelSpec(family="convlstm", features=1, window=3, horizons=2,
+                         hidden1=3, hidden2=3, conv_filters=4)
         model = build_model(spec, SeededRng(0))
-        # The one step of epoch 0 moves the weights to about 1e308, so the
-        # head's matmul in epoch 1 overflows.
-        config = TrainConfig(epochs=200, batch_size=64, learning_rate=1e308)
+        # The one step of epoch 0 moves the weights to about 1e200, so in
+        # epoch 1 the conv output (about 1e200) times lstm1's input weights
+        # overflows in the matmul.
+        config = TrainConfig(epochs=200, batch_size=64, learning_rate=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged,
-                               match="epoch 1: linear head: .*'matmul'"):
+                               match="epoch 1: convlstm lstm1: .*'matmul'"):
                 train(model, dataset, config, SeededRng(1))
 
     def test_divergence_in_the_loss_names_the_loss(self):
         dataset = linear_dataset()
-        spec = ModelSpec(family="linear", features=1, window=3, horizons=2,
-                         hidden1=1, hidden2=1)
+        spec = ModelSpec(family="lstm", features=1, window=3, horizons=2,
+                         hidden1=3, hidden2=3)
         model = build_model(spec, SeededRng(0))
-        # After epoch 0 the predictions are finite but so large that the
-        # squared residual of the MSE loss overflows in epoch 1.
+        # After epoch 0 the head's weights are about 1e200 and its input
+        # states lie in (-1, 1), so the predictions are finite but so large
+        # that the squared residual of the MSE loss overflows in epoch 1.
         config = TrainConfig(epochs=200, batch_size=64, learning_rate=1e200,
                              loss="mse")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged,
-                               match="epoch 1: linear loss: .*'hadamard'"):
+                               match="epoch 1: lstm loss: .*'hadamard'"):
                 train(model, dataset, config, SeededRng(1))
 
 
@@ -265,8 +267,8 @@ class TestQuantileSeparation:
                 series_min=np.array([0.0]), series_max=np.array([1.0]),
                 train_idx=np.arange(160),
                 test_idx=np.arange(160, 200), split_seed=seed)
-            spec = ModelSpec(family="linear", features=1, window=d,
-                             horizons=m, hidden1=1, hidden2=1,
+            spec = ModelSpec(family="lstm", features=1, window=d,
+                             horizons=m, hidden1=3, hidden2=3,
                              quantiles=quantiles)
             model = build_model(spec, SeededRng(seed))
             train(model, dataset,
