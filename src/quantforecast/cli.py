@@ -3,10 +3,12 @@
 Subcommands: generate (synthetic series to CSV), train (single run),
 experiment (multi-run campaign), report (re-aggregate persisted runs,
 labelled from the campaign's config.json beside them),
-gradcheck (gradient acceptance suite). A JSON config file may supply any
-experiment field, with a value of the type the field declares, and no
-other key; flags override file values. The QUANTFORECAST_OUT environment
-variable prefixes relative output paths.
+gradcheck (gradient acceptance suite). Each ExperimentConfig field has a
+train and experiment flag named after it (--out sets output_dir; train has
+no --runs), and each generator setting a generate flag. A JSON config file
+may supply any experiment field, with a value of the type the field
+declares, and no other key; flags override file values. The
+QUANTFORECAST_OUT environment variable prefixes relative output paths.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -18,12 +20,13 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 import warnings
 
-from .datapipe import FILE_SCHEMAS, GENERATORS, write_series_csv
+from .datapipe import GENERATORS, write_series_csv
 from .errors import ConfigError, ForecastError
 from .evaluation import aggregate_runs
-from .experiment import (FAMILIES, STRATEGIES, ExperimentConfig,
+from .experiment import (FIELD_CHOICES, FIELD_TYPES, ExperimentConfig,
                          campaign_label, emit_report, load_run_reports,
                          resolve_output_dir, run_experiment)
 from .gradsuite import TOL, run_suite
@@ -39,37 +42,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with experiment fields")
-    parser.add_argument("--name")
-    parser.add_argument("--dataset", choices=(*GENERATORS, *FILE_SCHEMAS))
-    parser.add_argument("--csv-path")
-    parser.add_argument("--family", choices=FAMILIES)
-    parser.add_argument("--strategy", choices=STRATEGIES)
-    quantile = parser.add_mutually_exclusive_group()
-    quantile.add_argument("--quantile", dest="quantile", action="store_true",
-                          default=None)
-    quantile.add_argument("--no-quantile", dest="quantile",
-                          action="store_false", default=None)
-    parser.add_argument("--quantiles", type=float, nargs="+")
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--horizons", type=int)
-    parser.add_argument("--hidden1", type=int)
-    parser.add_argument("--hidden2", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--base-seed", type=int)
-    parser.add_argument("--train-fraction", type=float)
-    parser.add_argument("--data-seed", type=int)
-    parser.add_argument("--data-steps", type=int)
-    parser.add_argument("--data-limit", type=int)
-    parser.add_argument("--data-offset", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--out", dest="output_dir")
+def _add_field_flags(parser: argparse.ArgumentParser, hints: dict,
+                     choices: dict) -> None:
+    """One flag per annotated field, named after it (output_dir is --out);
+    an unset flag is None, leaving the config file's or dataclass's value.
+    A bool field gets a --name/--no-name pair; an X, X | None or
+    tuple[X, ...] field takes values of type X, one or more for a tuple."""
+    for name, hint in hints.items():
+        flag = "--out" if name == "output_dir" else \
+            "--" + name.replace("_", "-")
+        if hint is bool:
+            pair = parser.add_mutually_exclusive_group()
+            pair.add_argument(flag, dest=name, action="store_true",
+                              default=None)
+            pair.add_argument(f"--no-{name}", dest=name,
+                              action="store_false", default=None)
+        else:
+            parser.add_argument(
+                flag, dest=name, type=(typing.get_args(hint) or (hint,))[0],
+                nargs="+" if typing.get_origin(hint) is tuple else None,
+                choices=choices.get(name))
 
 
-def _experiment_config(args, runs: int | None = None) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     fields: dict = {}
     if args.config:
         try:
@@ -86,12 +81,8 @@ def _experiment_config(args, runs: int | None = None) -> ExperimentConfig:
                               f"experiment fields, got "
                               f"{type(loaded).__name__}")
         fields.update(loaded)
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            fields[f.name] = value
-    if runs is not None:
-        fields["runs"] = runs
+    fields.update({name: getattr(args, name) for name in FIELD_TYPES
+                   if getattr(args, name) is not None})
     fields.setdefault("name", fields.get("dataset", "experiment"))
     if "dataset" not in fields or "family" not in fields:
         raise ConfigError("--dataset and --family are required "
@@ -122,7 +113,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _experiment_config(args, runs=1)
+    config = _experiment_config(args)
     with warnings.catch_warnings():
         # a single run is the point of this subcommand
         warnings.filterwarnings("ignore", message="aggregating a single run")
@@ -174,28 +165,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic series to CSV")
     p_gen.add_argument("generator", choices=tuple(GENERATORS))
-    p_gen.add_argument("--steps", type=int)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--dt", type=float)
-    p_gen.add_argument("--a", type=float,
-                       help="production coefficient (Mackey-Glass)")
-    p_gen.add_argument("--b", type=float,
-                       help="decay coefficient (Mackey-Glass)")
-    p_gen.add_argument("--delay", type=int)
-    p_gen.add_argument("--rho", type=float)
-    p_gen.add_argument("--sigma", type=float)
-    p_gen.add_argument("--beta", type=float)
-    p_gen.add_argument("--component", choices=["x", "y", "z"])
     p_gen.add_argument("--out", required=True)
+    # one flag per generator setting; _cmd_generate rejects a flag that the
+    # chosen generator does not take
+    _add_field_flags(p_gen, {name: hint for cls, _ in GENERATORS.values()
+                             for name, hint in
+                             typing.get_type_hints(cls).items()}, {})
     p_gen.set_defaults(func=_cmd_generate)
 
     p_train = sub.add_parser("train", help="train and evaluate a single run")
-    _add_experiment_flags(p_train)
-    p_train.set_defaults(func=_cmd_train)
-
     p_exp = sub.add_parser("experiment", help="run a seeded campaign")
-    _add_experiment_flags(p_exp)
-    p_exp.add_argument("--runs", type=int)
+    train_fields = {name: hint for name, hint in FIELD_TYPES.items()
+                    if name != "runs"}
+    for p, hints in ((p_train, train_fields), (p_exp, FIELD_TYPES)):
+        p.add_argument("--config", help="JSON file with experiment fields")
+        _add_field_flags(p, hints, FIELD_CHOICES)
+    p_train.set_defaults(func=_cmd_train, runs=1)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_rep = sub.add_parser("report", help="re-aggregate persisted runs")

@@ -179,8 +179,8 @@ FILE_SCHEMAS = {"bitcoin": "market", "ethereum": "market",
                 "sunspot": "univariate", "csv": None}
 
 
-def downsample(series: RawSeries, limit: int | None = None,
-               offset: int = 0) -> RawSeries:
+def crop(series: RawSeries, limit: int | None = None,
+         offset: int = 0) -> RawSeries:
     """The observations from offset on, optionally truncated to a row
     limit. Offsetting past the warm-up transient is conventional for
     chaotic generators."""

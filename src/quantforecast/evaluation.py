@@ -3,6 +3,7 @@ aggregation with 95% confidence half-widths."""
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,12 +48,23 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(seed=d["seed"], quantiles=tuple(d["quantiles"]),
-                   per_horizon_rmse=np.asarray(d["per_horizon_rmse"]),
-                   per_quantile_rmse=np.asarray(d["per_quantile_rmse"]),
-                   mean_rmse=d["mean_rmse"], wall_seconds=d["wall_seconds"],
-                   coverage_05_95=d.get("coverage_05_95"),
-                   crossing=d.get("crossing"))
+        """Read a report written by to_dict (coverage_05_95 and crossing
+        may be absent); a field of the wrong type or size raises TypeError
+        or ValueError."""
+        quantiles = tuple(float(q) for q in d["quantiles"])
+        per_horizon = np.asarray(d["per_horizon_rmse"], dtype=np.float64)
+        per_quantile = np.asarray(d["per_quantile_rmse"], dtype=np.float64)
+        if (per_horizon.ndim != 1 or per_horizon.size == 0
+                or per_quantile.shape != (len(quantiles),)):
+            raise ValueError("need a non-empty per_horizon_rmse list and one "
+                             "per_quantile_rmse value per quantile")
+        optional = {key: None if d.get(key) is None else float(d[key])
+                    for key in ("coverage_05_95", "crossing")}
+        return cls(seed=operator.index(d["seed"]), quantiles=quantiles,
+                   per_horizon_rmse=per_horizon,
+                   per_quantile_rmse=per_quantile,
+                   mean_rmse=float(d["mean_rmse"]),
+                   wall_seconds=float(d["wall_seconds"]), **optional)
 
 
 def make_run_report(seed: int, targets: np.ndarray, predictions: np.ndarray,

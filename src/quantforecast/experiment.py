@@ -35,8 +35,8 @@ import numpy as np
 
 from . import baselines, models
 from .datapipe import (FILE_SCHEMAS, GENERATORS, RawSeries, check_geometry,
-                       downsample, load_csv, make_windows,
-                       normalize_and_split, target_column)
+                       crop, load_csv, make_windows, normalize_and_split,
+                       target_column)
 from .engine import SeededRng
 from .errors import ConfigError, EmptyEval, IoError, SchemaError
 from .evaluation import (AggregateReport, RunReport, aggregate_runs,
@@ -49,6 +49,9 @@ from .training import TrainConfig, train
 # fitted by baselines.
 FAMILIES = (*models.FAMILIES, "linear")
 STRATEGIES = ("univariate", "multivariate")
+# The values each choice field of ExperimentConfig may take.
+FIELD_CHOICES = {"family": FAMILIES, "dataset": (*GENERATORS, *FILE_SCHEMAS),
+                 "strategy": STRATEGIES}
 
 # Table of hidden sizes per family: market datasets follow the reference
 # architecture table; generated/univariate benchmarks reuse the same sizes.
@@ -86,12 +89,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
-        if self.dataset not in GENERATORS and self.dataset not in FILE_SCHEMAS:
-            raise ConfigError(f"unknown dataset {self.dataset!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        for name, allowed in FIELD_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.strategy == "multivariate" and (
                 self.dataset in GENERATORS
                 or FILE_SCHEMAS[self.dataset] == "univariate"):
@@ -172,8 +172,8 @@ class ExperimentConfig:
         return cls(**d)
 
 
-# Resolved once: resolving the annotation strings costs about 0.5 ms.
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# Resolved once (about 0.5 ms); the type check and the CLI's flags read it.
+FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _conforms(value, hint) -> bool:
@@ -198,7 +198,7 @@ def _check_field_types(config: ExperimentConfig) -> None:
     a finite one, whether or not the campaign's family reads it."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if not _conforms(value, _FIELD_TYPES[f.name]):
+        if not _conforms(value, FIELD_TYPES[f.name]):
             raise ConfigError(f"{f.name} must be {f.type}, got "
                               f"{type(value).__name__} {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
@@ -215,7 +215,7 @@ def build_series(config: ExperimentConfig) -> RawSeries:
         series = load_csv(config.csv_path, schema=_schema(config),
                           name=config.dataset)
     if config.data_limit or config.data_offset:
-        series = downsample(series, config.data_limit, config.data_offset)
+        series = crop(series, config.data_limit, config.data_offset)
     if config.strategy == "univariate" and series.values.shape[1] > 1:
         col = target_column(series.columns)
         series = RawSeries(name=series.name, columns=[series.columns[col]],

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datapipe import check_geometry
 from .engine import (SeededRng, Tensor, add, concat, conv1d, hadamard, matmul,
                      relu, reshape, sigmoid, slice_axis, tanh)
 from .errors import ConfigError, NumericalError, ShapeError
@@ -59,7 +60,8 @@ CONV_KERNEL = 2
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative architecture description."""
+    """Declarative architecture description: the family, the input and
+    output geometry, the hidden sizes and the quantile levels."""
     family: str
     features: int
     window: int
@@ -72,10 +74,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}")
-        if self.features < 1 or self.window < 2 or self.horizons < 1:
-            raise ConfigError(
-                f"need features >= 1, window >= 2, horizons >= 1; got "
-                f"f={self.features}, d={self.window}, m={self.horizons}")
+        check_geometry(self.window, self.horizons)
+        if self.features < 1:
+            raise ConfigError(f"need features >= 1, got f={self.features}")
         if self.hidden1 < 1 or self.hidden2 < 1 or self.conv_filters < 1:
             raise ConfigError(
                 f"need hidden sizes and conv filters >= 1; got "

@@ -1,0 +1,25 @@
+"""Smoke test of scripts/ab_steps.py: two paths to this checkout train
+bitwise-equal and report positive step times."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "lstm", "--steps", "2", "--batch", "8"],
+    ["--family", "quantile-linear", "--steps", "1"]],
+    ids=["lstm", "quantile-linear"])
+def test_same_checkout_twice_is_bitwise_equal(flags):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_steps.py"), str(ROOT),
+         str(ROOT / "src" / ".."), *flags],
+        capture_output=True, text=True, timeout=120, check=True)
+    summary = json.loads(proc.stdout)
+    assert summary["bitwise_equal"] is True
+    assert summary["a_ms_per_step"] > 0 and summary["b_ms_per_step"] > 0

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, config-file merging, exit codes."""
 
 import argparse
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from quantforecast.cli import _experiment_config, build_parser, main
 from quantforecast.datapipe import (FILE_SCHEMAS, GENERATORS, LorenzParams,
                                     gen_lorenz, load_csv)
-from quantforecast.experiment import FAMILIES, STRATEGIES
+from quantforecast.experiment import FAMILIES, STRATEGIES, ExperimentConfig
 
 
 def command_actions(command):
@@ -19,9 +21,22 @@ def command_actions(command):
     return commands.choices[command]._actions
 
 
+def command_dests(command):
+    return {a.dest for a in command_actions(command)} - {"help"}
+
+
 def experiment_choices(flag):
     return next(a.choices for a in command_actions("experiment")
                 if flag in a.option_strings)
+
+
+def run_file(**changes):
+    """The JSON text of a one-level run report with the given fields
+    changed."""
+    return json.dumps(dict({"seed": 0, "quantiles": [0.5],
+                            "per_horizon_rmse": [0.1, 0.2],
+                            "per_quantile_rmse": [0.15], "mean_rmse": 0.15,
+                            "wall_seconds": 1.0}, **changes))
 
 
 def linear_campaign(out):
@@ -68,7 +83,8 @@ class TestGenerate:
         ["lorenz", "--steps", "0"], ["lorenz", "--dt", "0"],
         ["mackey-glass", "--seed", "-1"], ["mackey-glass", "--dt", "nan"],
         ["mackey-glass", "--dt", "inf"], ["mackey-glass", "--a", "nan"],
-        ["lorenz", "--dt", "nan"], ["lorenz", "--rho", "inf"]])
+        ["lorenz", "--dt", "nan"], ["lorenz", "--rho", "inf"],
+        ["lorenz", "--component", "w"]])
     def test_bad_generator_settings_exit_1(self, tmp_path, capsys, bad):
         out = tmp_path / "series.csv"
         assert main(["generate"] + bad + ["--out", str(out)]) == 1
@@ -92,6 +108,12 @@ class TestGenerate:
         assert captured.err == f"config error: {named}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_one_flag_per_generator_setting(self):
+        settings = {name for cls, _ in GENERATORS.values()
+                    for name in typing.get_type_hints(cls)}
+        assert command_dests("generate") == settings | {"generator", "seed",
+                                                        "out"}
 
     @pytest.mark.parametrize("settings, series", [
         (["lorenz", "--dt", "0.5", "--steps", "2000"], "'lorenz'"),
@@ -230,7 +252,7 @@ class TestExperimentCommand:
         ["--learning-rate", "0"], ["--learning-rate", "nan"],
         ["--learning-rate", "inf"], ["--quantiles", "0.5", "1.5"],
         ["--quantiles", "nan", "0.5"], ["--clip-norm", "1"],
-        ["--epochs", "abc"]])
+        ["--epochs", "abc"], ["--quantile", "--no-quantile"]])
     def test_bad_training_numbers_exit_1_before_any_run(self, tmp_path,
                                                          capsys, bad):
         out = tmp_path / "campaign"
@@ -246,7 +268,10 @@ class TestExperimentCommand:
         (["--dataset", "csv", "--csv-path", "f.csv", "--data-steps", "7"],
          "--data-steps"),
         (["--dataset", "mackey-glass", "--csv-path", "/nonexistent.csv"],
-         "reads no --csv-path")], ids=["data-steps", "csv-path"])
+         "reads no --csv-path"),
+        (["--dataset", "mackey-glass", "--runs", "3"],
+         "unrecognized arguments: --runs 3")],
+        ids=["data-steps", "csv-path", "runs"])
     def test_dataset_setting_that_cannot_apply_exit_1(self, tmp_path, capsys,
                                                       flags, named):
         out = tmp_path / "run"
@@ -254,8 +279,11 @@ class TestExperimentCommand:
                     + flags)
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("config error:")
-        assert named in captured.err and captured.out == ""
+        # argparse prints its usage line before the error for a flag that
+        # train does not have
+        error = captured.err.splitlines()[-1]
+        assert error.startswith("config error:")
+        assert named in error and captured.out == ""
         assert not out.exists()
 
     def test_help_exits_0(self, capsys):
@@ -338,7 +366,7 @@ class TestExperimentCommand:
             window=7, horizons=3, hidden1=4, hidden2=6, epochs=2,
             batch_size=8, learning_rate=0.01, base_seed=5,
             train_fraction=0.7, data_seed=9, data_steps=400, data_limit=300,
-            data_offset=10, workers=2,
+            data_offset=10, linear_iterations=7, workers=2,
             output_dir=out, runs=4)
         argv = ["experiment", "--name", "n", "--dataset", "csv",
                 "--csv-path", "x.csv", "--family", "lstm",
@@ -349,12 +377,13 @@ class TestExperimentCommand:
                 "--learning-rate", "0.01", "--base-seed", "5",
                 "--train-fraction", "0.7", "--data-seed", "9",
                 "--data-steps", "400", "--data-limit", "300",
-                "--data-offset", "10", "--workers", "2", "--out", out,
-                "--runs", "4"]
+                "--data-offset", "10", "--linear-iterations", "7",
+                "--workers", "2", "--out", out, "--runs", "4"]
         args = build_parser().parse_args(argv)
-        dests = ({a.dest for a in command_actions("experiment")}
-                 - {"help", "config"})
-        assert dests == set(expected)
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert command_dests("experiment") - {"config"} == names
+        assert command_dests("train") == command_dests("experiment") - {"runs"}
+        assert set(expected) == names
         # --data-steps applies to a generated series only, so it reaches a
         # config of its own
         args.data_steps = None
@@ -452,7 +481,13 @@ class TestReportCommand:
     def test_empty_dir_exit_1(self, tmp_path):
         assert main(["report", "--runs-dir", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("text", ['{"seed": 0, "quan', '{"seed": 0}'])
+    @pytest.mark.parametrize("text", [
+        '{"seed": 0, "quan', '{"seed": 0}',
+        pytest.param(run_file(per_horizon_rmse=["x", "y"], mean_rmse="x"),
+                     id="string-rmse"),
+        pytest.param(run_file(quantiles=[0.5, 0.9]), id="quantile-count"),
+        pytest.param(run_file(per_horizon_rmse=0.1), id="scalar-rmse"),
+        pytest.param(run_file(seed="0"), id="string-seed")])
     def test_bad_run_file_exit_2(self, tmp_path, capsys, text):
         runs = tmp_path / "runs"
         runs.mkdir()

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from quantforecast.datapipe import (JITTER, LORENZ_INITIAL, LorenzParams,
-                                    MackeyGlassParams, RawSeries,
-                                    downsample, gen_lorenz,
-                                    gen_mackey_glass, load_csv, make_windows,
-                                    normalize_and_split, write_series_csv)
+                                    MackeyGlassParams, RawSeries, crop,
+                                    gen_lorenz, gen_mackey_glass, load_csv,
+                                    make_windows, normalize_and_split,
+                                    write_series_csv)
 from quantforecast.errors import (ConfigError, DegenerateFeature,
                                   InsufficientData, NumericalError,
                                   ParseError, SchemaError)
@@ -110,12 +110,12 @@ class TestLorenz:
         resampled = fine.values[::2][:101]
         assert np.max(np.abs(coarse.values - resampled)) < 1e-3
 
-    def test_downsample(self):
+    def test_crop(self):
         uni = gen_lorenz(LorenzParams(steps=1000), seed=0)
-        ds = downsample(uni, limit=300, offset=100)
+        ds = crop(uni, limit=300, offset=100)
         assert ds.length == 300
         assert np.array_equal(ds.values, uni.values[100:400])
-        assert downsample(uni, offset=990).length == 10
+        assert crop(uni, offset=990).length == 10
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_non_positive_step_rejected(self, dt):

@@ -25,6 +25,15 @@ def tiny_config(tmp_path, **kw):
     return ExperimentConfig(**fields)
 
 
+def run_file(**changes):
+    """The JSON text of a one-level run report with the given fields
+    changed."""
+    return json.dumps(dict({"seed": 0, "quantiles": [0.5],
+                            "per_horizon_rmse": [0.1, 0.2],
+                            "per_quantile_rmse": [0.15], "mean_rmse": 0.15,
+                            "wall_seconds": 1.0}, **changes))
+
+
 class TestConfigValidation:
     def test_multivariate_needs_market_data(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -250,8 +259,13 @@ class TestRunExperiment:
         reports = load_run_reports(tmp_path / "runs")
         assert [r.seed for r in reports] == [10, 11]
 
-    @pytest.mark.parametrize("text", ['{"seed": 0, "quan', '{"seed": 0}',
-                                      '[0]'])
+    @pytest.mark.parametrize("text", [
+        '{"seed": 0, "quan', '{"seed": 0}', '[0]',
+        pytest.param(run_file(per_horizon_rmse=["x", "y"], mean_rmse="x"),
+                     id="string-rmse"),
+        pytest.param(run_file(quantiles=[0.5, 0.9]), id="quantile-count"),
+        pytest.param(run_file(per_horizon_rmse=0.1), id="scalar-rmse"),
+        pytest.param(run_file(seed="0"), id="string-seed")])
     def test_bad_run_file_names_the_file(self, tmp_path, text):
         runs = tmp_path / "runs"
         runs.mkdir()

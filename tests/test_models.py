@@ -125,6 +125,8 @@ class TestSpecValidation:
             toy_spec("lstm", window=1)
         with pytest.raises(ConfigError):
             toy_spec("lstm", horizons=0)
+        with pytest.raises(ConfigError, match="features >= 1"):
+            toy_spec("lstm", f=0)
 
     def test_bad_quantiles(self):
         from quantforecast.errors import InvalidQuantile
