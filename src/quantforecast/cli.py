@@ -35,7 +35,11 @@ from .gradsuite import TOL, run_suite
 class _Parser(argparse.ArgumentParser):
     """Reports a command-line mistake (an unknown flag, a value of the
     wrong type) as a ConfigError, so it exits 1 like the same mistake in a
-    config file. --help still exits 0."""
+    config file. --help still exits 0. Flags must be spelled in full, so a
+    new flag cannot make an abbreviation in use ambiguous."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -1,8 +1,10 @@
 """Dataset acquisition, sliding windows, normalisation and the 80:20 split.
 
-The dataset list is two tables, GENERATORS and FILE_SCHEMAS. A RawSeries
-carries its dataset's name; the WindowedDataset made from it carries only
-arrays and pipeline state.
+The dataset list is two tables, GENERATORS and FILE_SCHEMAS. Each stage
+has its own type: the generators and load_csv give a RawSeries, which
+carries its dataset's name; make_windows gives Windows, in series units
+with the series range; normalize_and_split gives a WindowedDataset, scaled
+and split, which holds only arrays and the split seed.
 
 CSV schemas (header row required, rows re-sorted ascending by date; given
 no schema, load_csv reads a header holding the five market columns as
@@ -267,15 +269,12 @@ def load_csv(path, schema: str | None = None,
 
 
 @dataclass
-class WindowedDataset:
-    """Aligned (input window, target vector) pairs plus pipeline state.
+class Windows:
+    """Aligned (input window, target vector) pairs in series units.
 
     inputs[i] covers series rows i .. i+d-1 over all features; targets[i]
-    covers rows i+d .. i+d+m-1 of the target column. Normalisation is
-    per-feature min-max fitted on the whole raw series; the split is a
-    seeded shuffle of window indices, train share 0.8. normalize_and_split
-    scales and splits in one step, so a dataset with train_idx set holds
-    scaled arrays, and series_min and series_max invert the scaling.
+    covers rows i+d .. i+d+m-1 of the target column. series_min and
+    series_max are each feature's range over the whole raw series.
     """
     inputs: np.ndarray   # (N, d, f)
     targets: np.ndarray  # (N, m)
@@ -285,9 +284,22 @@ class WindowedDataset:
     target_index: int
     series_min: np.ndarray
     series_max: np.ndarray
-    train_idx: np.ndarray | None = None
-    test_idx: np.ndarray | None = None
-    split_seed: int | None = None
+
+    @property
+    def count(self) -> int:
+        return self.inputs.shape[0]
+
+
+@dataclass
+class WindowedDataset:
+    """Min-max scaled windows split into train and test by a seeded
+    shuffle of window indices; normalize_and_split makes every array
+    read-only."""
+    inputs: np.ndarray   # (N, d, f)
+    targets: np.ndarray  # (N, m)
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    split_seed: int
 
     @property
     def count(self) -> int:
@@ -297,36 +309,21 @@ class WindowedDataset:
     def features(self) -> int:
         return self.inputs.shape[2]
 
-    def _require_split(self):
-        if self.train_idx is None:
-            raise ConfigError("dataset not finalized; run normalize_and_split")
-
     @property
     def train_inputs(self) -> np.ndarray:
-        self._require_split()
         return self.inputs[self.train_idx]
 
     @property
     def train_targets(self) -> np.ndarray:
-        self._require_split()
         return self.targets[self.train_idx]
 
     @property
     def test_inputs(self) -> np.ndarray:
-        self._require_split()
         return self.inputs[self.test_idx]
 
     @property
     def test_targets(self) -> np.ndarray:
-        self._require_split()
         return self.targets[self.test_idx]
-
-    def denormalize_targets(self, arr: np.ndarray) -> np.ndarray:
-        """Inverse of the target-column min-max map."""
-        self._require_split()
-        lo = self.series_min[self.target_index]
-        hi = self.series_max[self.target_index]
-        return np.asarray(arr, dtype=np.float64) * (hi - lo) + lo
 
 
 def target_column(columns: list[str]) -> int:
@@ -342,8 +339,7 @@ def check_geometry(window: int, horizons: int) -> None:
                           f"got d={window} m={horizons}")
 
 
-def make_windows(series: RawSeries, window: int,
-                 horizons: int) -> WindowedDataset:
+def make_windows(series: RawSeries, window: int, horizons: int) -> Windows:
     """Slide a (window, horizons) frame over the series: N = T - d - m + 1
     aligned pairs. Inputs keep all features; targets take the
     target_column."""
@@ -359,49 +355,43 @@ def make_windows(series: RawSeries, window: int,
     inputs = sliding_window_view(series.values[:t_len - m], d, axis=0)
     inputs = inputs.transpose(0, 2, 1).copy()
     targets = sliding_window_view(series.values[d:, target_index], m).copy()
-    return WindowedDataset(
+    return Windows(
         inputs=inputs, targets=targets, window=d, horizons=m,
         feature_names=list(series.columns), target_index=target_index,
         series_min=series.values.min(axis=0),
         series_max=series.values.max(axis=0))
 
 
-def normalize_and_split(dataset: WindowedDataset, seed: int,
+def normalize_and_split(windows: Windows, seed: int,
                         train_fraction: float = 0.8) -> WindowedDataset:
     """Min-max scale every feature to [0, 1], then split window indices by
     a seeded shuffle, train share round(train_fraction * N).
 
     Scaling is fitted on the whole raw series (pipeline order: normalise,
-    then split). Finalized arrays are read-only.
+    then split). The split dataset's arrays are read-only.
     """
-    if dataset.train_idx is not None:
-        raise ConfigError("dataset already normalized")
-    n = dataset.count
+    n = windows.count
     rng = SeededRng(seed)
     order = rng.permutation(n)
     n_train = int(round(train_fraction * n))
     train_idx = np.sort(order[:n_train])
     test_idx = np.sort(order[n_train:])
 
-    lo, hi = dataset.series_min, dataset.series_max
+    lo, hi = windows.series_min, windows.series_max
     span = hi - lo
-    for j, name in enumerate(dataset.feature_names):
+    for j, name in enumerate(windows.feature_names):
         if span[j] == 0.0:
             raise DegenerateFeature(f"feature {name!r} has zero range")
 
-    inputs = (dataset.inputs - lo) / span
-    t_lo = lo[dataset.target_index]
-    t_span = span[dataset.target_index]
-    targets = (dataset.targets - t_lo) / t_span
+    inputs = (windows.inputs - lo) / span
+    t_lo = lo[windows.target_index]
+    t_span = span[windows.target_index]
+    targets = (windows.targets - t_lo) / t_span
     for arr in (inputs, targets, train_idx, test_idx):
         arr.flags.writeable = False
-    return WindowedDataset(
-        inputs=inputs, targets=targets,
-        window=dataset.window, horizons=dataset.horizons,
-        feature_names=list(dataset.feature_names),
-        target_index=dataset.target_index,
-        series_min=dataset.series_min, series_max=dataset.series_max,
-        train_idx=train_idx, test_idx=test_idx, split_seed=int(seed))
+    return WindowedDataset(inputs=inputs, targets=targets,
+                           train_idx=train_idx, test_idx=test_idx,
+                           split_seed=int(seed))
 
 
 def write_series_csv(path, series: RawSeries) -> None:

@@ -73,8 +73,8 @@ class ExperimentConfig:
     hidden1: int | None = None
     hidden2: int | None = None
     epochs: int | None = None
-    batch_size: int = 64
-    learning_rate: float = 1e-4
+    batch_size: int | None = None
+    learning_rate: float | None = None
     runs: int = 30
     base_seed: int = 0
     train_fraction: float = 0.8
@@ -141,7 +141,8 @@ class ExperimentConfig:
         _generator_params(self)
         check_geometry(self.window, self.horizons)
         if self.family == "linear":
-            given = [name for name in ("hidden1", "hidden2", "epochs")
+            given = [name for name in ("hidden1", "hidden2", "epochs",
+                                       "batch_size", "learning_rate")
                      if getattr(self, name) is not None]
             if given:
                 raise ConfigError(f"family 'linear' is fitted by the "
@@ -155,6 +156,10 @@ class ExperimentConfig:
                 self.hidden2 = h2
             if self.epochs is None:
                 self.epochs = 100 if is_market else 300
+            if self.batch_size is None:
+                self.batch_size = TrainConfig.batch_size
+            if self.learning_rate is None:
+                self.learning_rate = TrainConfig.learning_rate
             _model_spec(self, 1)
             _train_config(self)
 
@@ -361,7 +366,8 @@ def campaign_label(runs_dir) -> dict | None:
 
 def load_run_reports(runs_dir) -> list[RunReport]:
     """Re-read persisted per-run reports (for re-aggregation). A file that
-    is not valid JSON or not a run report raises SchemaError naming it."""
+    is not valid JSON, not a run report, or not on the first file's
+    quantiles and horizon count raises SchemaError naming it."""
     paths = sorted(Path(runs_dir).glob("run_*.json"))
     reports = []
     for p in paths:
@@ -371,6 +377,12 @@ def load_run_reports(runs_dir) -> list[RunReport]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{p}: not a run report "
                                   f"({type(exc).__name__}: {exc})") from None
+    shapes = [(r.quantiles, len(r.per_horizon_rmse)) for r in reports]
+    for p, (qs, horizons) in zip(paths, shapes):
+        if (qs, horizons) != shapes[0]:
+            raise SchemaError(f"{p}: quantiles {qs} over {horizons} "
+                              f"horizons, but {paths[0].name} has "
+                              f"{shapes[0][0]} over {shapes[0][1]}")
     reports.sort(key=lambda r: r.seed)
     return reports
 

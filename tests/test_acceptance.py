@@ -111,10 +111,7 @@ class TestCriterion3QuantileMinimizer:
         n = sample.size
         dataset = WindowedDataset(
             inputs=rng.uniform(size=(n, 2, 1)) * 1e-12,
-            targets=sample[:, None], window=2, horizons=1,
-            feature_names=["value"], target_index=0,
-            series_min=np.array([0.0]), series_max=np.array([1.0]),
-            train_idx=np.arange(n),
+            targets=sample[:, None], train_idx=np.arange(n),
             test_idx=np.arange(0), split_seed=0)
 
         worst = 0.0
@@ -226,13 +223,15 @@ class TestCriterion9PipelineProperties:
             series = RawSeries("s", ["value"], rng.normal(size=t_len))
             assert make_windows(series, d, m).count == t_len - d - m + 1
 
-        # normalization round-trip at 1e-12
+        # normalization matches the series' min-max map at 1e-12
         values = rng.uniform(3.0, 11.0, size=150)
         series = RawSeries("s", ["value"], values)
         ds = normalize_and_split(make_windows(series, 6, 4), seed=1)
-        restored = ds.denormalize_targets(ds.targets)
-        raw = np.array([values[i + 6:i + 10] for i in range(ds.count)])
-        assert np.max(np.abs(restored - raw)) < 1e-12
+        scaled = (values - values.min()) / (values.max() - values.min())
+        inputs = np.array([scaled[i:i + 6] for i in range(ds.count)])
+        targets = np.array([scaled[i + 6:i + 10] for i in range(ds.count)])
+        assert np.max(np.abs(ds.inputs[:, :, 0] - inputs)) < 1e-12
+        assert np.max(np.abs(ds.targets - targets)) < 1e-12
 
         # split partition property
         n = ds.count
@@ -251,7 +250,7 @@ class TestCriterion9PipelineProperties:
             return (path / "aggregate.csv").read_bytes()
 
         assert campaign(tmp_path / "a") == campaign(tmp_path / "b")
-        record("9", "window-count formula (200 triples), round-trip 1e-12, "
+        record("9", "window-count formula (200 triples), min-max 1e-12, "
                     "80:20 partition, byte-identical replay")
 
 
@@ -265,10 +264,7 @@ class TestCriterion10BaselineSanity:
         noise = rng.uniform(-0.25, 0.25, size=n)  # symmetric about 0
         targets = (inputs[:, :, 0] @ slope + 0.1 + noise)[:, None]
         dataset = WindowedDataset(
-            inputs=inputs, targets=targets, window=d, horizons=1,
-            feature_names=["value"], target_index=0,
-            series_min=np.array([-1.0]), series_max=np.array([1.0]),
-            train_idx=np.arange(n),
+            inputs=inputs, targets=targets, train_idx=np.arange(n),
             test_idx=np.arange(0), split_seed=0)
         ols = fit_ols(dataset)
         quant = fit_quantile_linear(dataset, (0.5,), iterations=8000,

@@ -16,12 +16,7 @@ def dataset_from_arrays(inputs, targets, train_share=1.0):
     n = inputs.shape[0]
     split = int(round(train_share * n))
     return WindowedDataset(
-        inputs=inputs, targets=targets,
-        window=inputs.shape[1], horizons=targets.shape[1],
-        feature_names=[f"f{i}" for i in range(inputs.shape[2])],
-        target_index=0, series_min=np.zeros(inputs.shape[2]),
-        series_max=np.ones(inputs.shape[2]),
-        train_idx=np.arange(split),
+        inputs=inputs, targets=targets, train_idx=np.arange(split),
         test_idx=np.arange(split, n) if split < n else np.arange(0),
         split_seed=0)
 

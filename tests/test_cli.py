@@ -3,7 +3,9 @@
 import argparse
 import dataclasses
 import json
+import shlex
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from quantforecast.cli import _experiment_config, build_parser, main
 from quantforecast.datapipe import (FILE_SCHEMAS, GENERATORS, LorenzParams,
                                     gen_lorenz, load_csv)
 from quantforecast.experiment import FAMILIES, STRATEGIES, ExperimentConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def command_actions(command):
@@ -212,7 +216,8 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("flags, named", [
         (["--hidden1", "50"], "hidden1"), (["--epochs", "7"], "epochs"),
-        (["--hidden1", "0"], "hidden1")])
+        (["--hidden1", "0"], "hidden1"), (["--batch-size", "8"], "batch_size"),
+        (["--learning-rate", "0.01"], "learning_rate")])
     def test_neural_setting_on_linear_campaign_exit_1(self, tmp_path, capsys,
                                                       flags, named):
         out = tmp_path / "campaign"
@@ -239,6 +244,24 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "takes no hidden1, hidden2, epochs" in err
+        assert not out.exists()
+
+    def test_linear_config_file_with_training_numbers_exit_1(self, tmp_path,
+                                                              capsys):
+        # A linear config.json written while linear campaigns still
+        # resolved a batch size and learning rate holds both.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": "mackey-glass", "family": "linear", "hidden1": None,
+            "hidden2": None, "epochs": None, "batch_size": 64,
+            "learning_rate": 0.0001}))
+        out = tmp_path / "campaign"
+        code = main(["experiment", "--config", str(path), "--runs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "takes no batch_size, learning_rate" in err
         assert not out.exists()
 
     def test_invalid_combination_exit_1(self, tmp_path, capsys):
@@ -270,8 +293,11 @@ class TestExperimentCommand:
         (["--dataset", "mackey-glass", "--csv-path", "/nonexistent.csv"],
          "reads no --csv-path"),
         (["--dataset", "mackey-glass", "--runs", "3"],
-         "unrecognized arguments: --runs 3")],
-        ids=["data-steps", "csv-path", "runs"])
+         "unrecognized arguments: --runs 3"),
+        # flags are spelled in full: no prefix of --learning-rate
+        (["--dataset", "mackey-glass", "--learning", "0.01"],
+         "unrecognized arguments: --learning 0.01")],
+        ids=["data-steps", "csv-path", "runs", "abbreviated"])
     def test_dataset_setting_that_cannot_apply_exit_1(self, tmp_path, capsys,
                                                       flags, named):
         out = tmp_path / "run"
@@ -452,6 +478,15 @@ class TestTrainCommand:
         assert "run seed 3" in capsys.readouterr().out
         assert (tmp_path / "runs" / "run_3.json").exists()
 
+    def test_neural_run_records_training_defaults(self, tmp_path):
+        code = main(["train", "--dataset", "mackey-glass", "--family", "lstm",
+                     "--data-steps", "60", "--window", "4", "--horizons", "2",
+                     "--hidden1", "2", "--hidden2", "2", "--epochs", "1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        config = json.loads((tmp_path / "config.json").read_text())
+        assert (config["batch_size"], config["learning_rate"]) == (64, 1e-4)
+
 
 class TestReportCommand:
     def test_reaggregate_and_svg(self, tmp_path, capsys):
@@ -501,6 +536,20 @@ class TestReportCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_disagreeing_run_files_exit_2(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run_0.json").write_text(run_file())
+        path = runs / "run_1.json"
+        path.write_text(run_file(seed=1, per_horizon_rmse=[0.1, 0.2, 0.3]))
+        out = tmp_path / "tables"
+        code = main(["report", "--runs-dir", str(runs), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: quantiles (0.5,) over 3 "
+                              f"horizons, but run_0.json has (0.5,) over 2")
+        assert not out.exists()
+
     def test_bad_campaign_config_exit_2(self, tmp_path, capsys):
         campaign = linear_campaign(tmp_path / "campaign")
         (campaign / "config.json").write_text('{"family": "linear"}')
@@ -536,3 +585,15 @@ class TestGradcheckCommand:
         assert captured.err.startswith("config error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def test_readme_command_examples_parse():
+    # The fenced block under "Command line", continuations joined; parsing
+    # runs none of the commands.
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("quantforecast ")]
+    assert len(commands) == 8
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -315,24 +315,25 @@ class TestNormalizeAndSplit:
     def test_midpoint_maps_to_half(self):
         values = np.concatenate([[10.0, 15.0, 20.0], np.linspace(11, 19, 27)])
         series = RawSeries("s", ["value"], values)
-        ds = normalize_and_split(make_windows(series, 4, 2), seed=0)
-        assert ds.series_min[0] == 10.0 and ds.series_max[0] == 20.0
+        windows = make_windows(series, 4, 2)
+        assert windows.series_min[0] == 10.0 and windows.series_max[0] == 20.0
+        ds = normalize_and_split(windows, seed=0)
         assert ds.inputs[0, 1, 0] == 0.5  # raw 15 on range [10, 20]
         assert np.all(ds.inputs >= 0.0) and np.all(ds.inputs <= 1.0)
         assert np.all(ds.targets >= 0.0) and np.all(ds.targets <= 1.0)
 
-    def test_roundtrip_inverse(self, rng):
+    def test_scaling_matches_min_max_of_raw_series(self, rng):
         values = rng.uniform(5.0, 9.0, size=80)
         series = RawSeries("s", ["value"], values)
-        windows = make_windows(series, 4, 2)
-        with pytest.raises(ConfigError, match="not finalized"):
-            windows.denormalize_targets(windows.targets)
-        ds = normalize_and_split(windows, seed=1)
-        restored = ds.denormalize_targets(ds.targets)
-        original = np.empty_like(restored)
+        ds = normalize_and_split(make_windows(series, 4, 2), seed=1)
+        scaled = (values - values.min()) / (values.max() - values.min())
+        inputs = np.empty_like(ds.inputs)
+        targets = np.empty_like(ds.targets)
         for i in range(ds.count):
-            original[i] = values[i + 4:i + 6]
-        assert np.max(np.abs(restored - original)) < 1e-12
+            inputs[i, :, 0] = scaled[i:i + 4]
+            targets[i] = scaled[i + 4:i + 6]
+        assert np.max(np.abs(ds.inputs - inputs)) < 1e-12
+        assert np.max(np.abs(ds.targets - targets)) < 1e-12
 
     def test_split_sizes_and_partition(self):
         series = RawSeries("s", ["value"], np.arange(19.0))
@@ -367,12 +368,6 @@ class TestNormalizeAndSplit:
         series = RawSeries("s", ["a", "flat"], values)
         with pytest.raises(DegenerateFeature, match="flat"):
             normalize_and_split(make_windows(series, 4, 2), seed=0)
-
-    def test_double_normalization_rejected(self):
-        series = RawSeries("s", ["value"], np.arange(30.0))
-        ds = normalize_and_split(make_windows(series, 4, 2), seed=0)
-        with pytest.raises(ConfigError):
-            normalize_and_split(ds, seed=0)
 
     def test_finalized_arrays_are_readonly(self):
         series = RawSeries("s", ["value"], np.arange(30.0))

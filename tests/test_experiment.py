@@ -14,6 +14,7 @@ from quantforecast.experiment import (DEFAULT_HIDDEN, FAMILIES,
                                       emit_report, load_run_reports,
                                       run_experiment)
 from quantforecast.models import FAMILIES as MODEL_FAMILIES
+from quantforecast.training import TrainConfig
 
 
 def tiny_config(tmp_path, **kw):
@@ -118,7 +119,7 @@ class TestConfigValidation:
         dict(window="5"), dict(window=5.0), dict(quantiles=5),
         dict(quantiles=[0.5, "0.9"]), dict(quantile="no"), dict(quantile=1),
         dict(runs=2.0), dict(data_seed=True), dict(learning_rate="1e-3"),
-        dict(learning_rate=None), dict(csv_path=3), dict(family=None)])
+        dict(batch_size=8.0), dict(csv_path=3), dict(family=None)])
     def test_mistyped_field_rejected(self, tmp_path, bad):
         (name, value), = bad.items()
         with pytest.raises(ConfigError, match=f"^{name} must be"):
@@ -127,9 +128,9 @@ class TestConfigValidation:
     def test_field_types_follow_the_annotations(self, tmp_path):
         # an int stands in a float field; None where the field allows it;
         # a list for the quantile levels
-        config = tiny_config(tmp_path, learning_rate=1, train_fraction=0.5,
-                             data_limit=None, window=None,
-                             quantiles=[0.25, 0.5, 0.75])
+        config = tiny_config(tmp_path, family="lstm", learning_rate=1,
+                             train_fraction=0.5, data_limit=None,
+                             window=None, quantiles=[0.25, 0.5, 0.75])
         assert config.quantiles == (0.25, 0.5, 0.75)
 
     def test_quantile_set_without_median_rejected(self, tmp_path):
@@ -146,6 +147,14 @@ class TestConfigValidation:
         config = tiny_config(tmp_path, family="lstm", hidden2=7)
         assert (config.hidden1, config.hidden2) == (50, 7)
 
+    def test_unset_training_numbers_take_train_config_defaults(self,
+                                                               tmp_path):
+        config = tiny_config(tmp_path, family="lstm")
+        assert (config.batch_size, config.learning_rate) == (
+            TrainConfig.batch_size, TrainConfig.learning_rate) == (64, 1e-4)
+        assert (tiny_config(tmp_path).batch_size,
+                tiny_config(tmp_path).learning_rate) == (None, None)
+
     def test_linear_campaign_resolves_no_neural_settings(self, tmp_path):
         config = tiny_config(tmp_path)
         assert (config.hidden1, config.hidden2, config.epochs) \
@@ -156,7 +165,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kw, named", [
         (dict(hidden1=50), "hidden1"), (dict(hidden2=0), "hidden2"),
         (dict(epochs=7), "epochs"),
-        (dict(hidden1=1, hidden2=1, epochs=300), "hidden1, hidden2, epochs")])
+        (dict(hidden1=1, hidden2=1, epochs=300), "hidden1, hidden2, epochs"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(learning_rate=-1.0), "learning_rate"),
+        (dict(batch_size=64, learning_rate=1e-4),
+         "batch_size, learning_rate")])
     def test_neural_setting_on_linear_campaign_rejected(self, tmp_path, kw,
                                                         named):
         with pytest.raises(ConfigError,
@@ -271,6 +284,17 @@ class TestRunExperiment:
         runs.mkdir()
         (runs / "run_0.json").write_text(text)
         with pytest.raises(SchemaError, match="run_0.json: not a run report"):
+            load_run_reports(runs)
+
+    def test_run_file_off_the_first_files_shape_named(self, tmp_path):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "run_0.json").write_text(run_file())
+        (runs / "run_1.json").write_text(run_file(seed=1))
+        (runs / "run_2.json").write_text(run_file(
+            seed=2, quantiles=[0.25, 0.5], per_quantile_rmse=[0.1, 0.15]))
+        with pytest.raises(SchemaError, match="run_2.json: quantiles "
+                           r"\(0.25, 0.5\) over 2 horizons, but run_0.json"):
             load_run_reports(runs)
 
     def test_reaggregation_matches_fresh_aggregate(self, tmp_path):

@@ -305,10 +305,7 @@ class TestForwardPass:
         n, d, m = 40, 4, 2
         dataset = WindowedDataset(
             inputs=np.full((n, d, 1), c),
-            targets=np.full((n, m), c), window=d, horizons=m,
-            feature_names=["value"], target_index=0,
-            series_min=np.array([0.0]), series_max=np.array([1.0]),
-            train_idx=np.arange(32),
+            targets=np.full((n, m), c), train_idx=np.arange(32),
             test_idx=np.arange(32, 40), split_seed=0)
         model = build_model(toy_spec("lstm", hidden1=4, hidden2=4), SeededRng(0))
         # 200 optimisation steps: 40 epochs x 5 batches of 8

@@ -74,10 +74,7 @@ def linear_dataset(n=64, seed=0):
     targets = inputs[:, :, 0] @ w + b
     split = int(0.8 * n)
     return WindowedDataset(
-        inputs=inputs, targets=targets, window=d, horizons=m,
-        feature_names=["value"], target_index=0,
-        series_min=np.array([0.0]), series_max=np.array([1.0]),
-        train_idx=np.arange(split),
+        inputs=inputs, targets=targets, train_idx=np.arange(split),
         test_idx=np.arange(split, n), split_seed=seed)
 
 
@@ -183,10 +180,7 @@ class TestRecordedOps:
         for f in (1, 3):
             dataset = WindowedDataset(
                 inputs=rng.uniform(size=(4, 4, f)),
-                targets=rng.uniform(size=(4, 2)), window=4, horizons=2,
-                feature_names=[f"x{j}" for j in range(f)], target_index=0,
-                series_min=np.zeros(f), series_max=np.ones(f),
-                train_idx=np.arange(4),
+                targets=rng.uniform(size=(4, 2)), train_idx=np.arange(4),
                 test_idx=np.arange(0), split_seed=0)
             for family in FAMILIES:
                 for loss, qs in (("quantile", (0.25, 0.5, 0.75)),
@@ -224,10 +218,8 @@ class TestRecordedOps:
         rng = np.random.default_rng(0)
         dataset = WindowedDataset(
             inputs=rng.uniform(size=(4, d, 1)),
-            targets=rng.uniform(size=(4, m)), window=d,
-            horizons=m, feature_names=["x"], target_index=0,
-            series_min=np.zeros(1), series_max=np.ones(1),
-            train_idx=np.arange(4), test_idx=np.arange(0), split_seed=0)
+            targets=rng.uniform(size=(4, m)), train_idx=np.arange(4),
+            test_idx=np.arange(0), split_seed=0)
         stage_steps = {
             "lstm": {"lstm1": d, "lstm2": d},
             "bdlstm": {"fwd": d, "bwd": d, "lstm2": d},
@@ -262,10 +254,7 @@ class TestQuantileSeparation:
             inputs = np.full((n, d, 1), 0.5)
             targets = 0.5 + rng.uniform(-0.3, 0.3, size=(n, m))
             dataset = WindowedDataset(
-                inputs=inputs, targets=targets, window=d,
-                horizons=m, feature_names=["value"], target_index=0,
-                series_min=np.array([0.0]), series_max=np.array([1.0]),
-                train_idx=np.arange(160),
+                inputs=inputs, targets=targets, train_idx=np.arange(160),
                 test_idx=np.arange(160, 200), split_seed=seed)
             spec = ModelSpec(family="lstm", features=1, window=d,
                              horizons=m, hidden1=3, hidden2=3,
