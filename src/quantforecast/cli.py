@@ -1,14 +1,13 @@
 """Experiment command line.
 
-Subcommands: generate (synthetic series to CSV), train (single run),
-experiment (multi-run campaign), report (re-aggregate persisted runs,
-labelled from the campaign's config.json beside them),
-gradcheck (gradient acceptance suite). Each ExperimentConfig field has a
-train and experiment flag named after it (--out sets output_dir; train has
-no --runs), and each generator setting a generate flag. A JSON config file
-may supply any experiment field, with a value of the type the field
-declares, and no other key; flags override file values. The
-QUANTFORECAST_OUT environment variable prefixes relative output paths.
+Subcommands: generate (synthetic series to CSV), experiment (seeded
+campaign of one or more runs), report (re-aggregate persisted runs into the
+campaign CSVs, labelled from the campaign's config.json beside them),
+gradcheck (gradient acceptance suite). Each ExperimentConfig field has an
+experiment flag named after it (--out sets output_dir), and each generator
+setting a generate flag. A JSON config file may supply any experiment
+field, with a value of the type the field declares, and no other key;
+flags override file values. Output paths are used as given.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -18,18 +17,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import typing
-import warnings
 
 from .datapipe import GENERATORS, write_series_csv
 from .errors import ConfigError, ForecastError
 from .evaluation import aggregate_runs
 from .experiment import (FIELD_CHOICES, FIELD_TYPES, ExperimentConfig,
                          campaign_label, emit_report, load_run_reports,
-                         resolve_output_dir, run_experiment)
-from .gradsuite import TOL, run_suite
+                         run_experiment)
+from .gradsuite import run_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,11 +84,10 @@ def _experiment_config(args) -> ExperimentConfig:
         fields.update(loaded)
     fields.update({name: getattr(args, name) for name in FIELD_TYPES
                    if getattr(args, name) is not None})
-    fields.setdefault("name", fields.get("dataset", "experiment"))
     if "dataset" not in fields or "family" not in fields:
         raise ConfigError("--dataset and --family are required "
                           "(by flag or config file)")
-    fields["output_dir"] = resolve_output_dir(fields.get("output_dir", "."))
+    fields.setdefault("name", fields["dataset"])
     return ExperimentConfig.from_dict(fields)
 
 
@@ -110,20 +106,8 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"{args.generator} takes no "
                           + ", ".join(f"--{name}" for name in foreign))
     series = generate(cls(**given), args.seed)
-    out = resolve_output_dir(args.out)
-    write_series_csv(out, series)
-    print(f"wrote {series.length} rows to {out}")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    config = _experiment_config(args)
-    with warnings.catch_warnings():
-        # a single run is the point of this subcommand
-        warnings.filterwarnings("ignore", message="aggregating a single run")
-        aggregate = run_experiment(config)
-    print(f"run seed {config.base_seed}: "
-          f"mean RMSE {aggregate.mean_rmse.mean:.4f}")
+    write_series_csv(args.out, series)
+    print(f"wrote {series.length} rows to {args.out}")
     return 0
 
 
@@ -143,8 +127,7 @@ def _cmd_report(args) -> int:
     if not reports:
         raise ConfigError(f"no run_*.json files under {args.runs_dir}")
     aggregate = aggregate_runs(reports)
-    out = resolve_output_dir(args.out)
-    paths = emit_report(aggregate, args.format, out,
+    paths = emit_report(aggregate, "csv", args.out,
                         label=campaign_label(args.runs_dir))
     for p in paths:
         print(f"wrote {p}")
@@ -154,9 +137,7 @@ def _cmd_report(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
-    if not 0 < args.tol < math.inf:
-        raise ConfigError(f"tol must be positive and finite, got {args.tol}")
-    ok = run_suite(seed=args.seed, tol=args.tol)
+    ok = run_suite(seed=args.seed)
     print("gradient suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 2
 
@@ -178,26 +159,18 @@ def build_parser() -> argparse.ArgumentParser:
                              typing.get_type_hints(cls).items()}, {})
     p_gen.set_defaults(func=_cmd_generate)
 
-    p_train = sub.add_parser("train", help="train and evaluate a single run")
     p_exp = sub.add_parser("experiment", help="run a seeded campaign")
-    train_fields = {name: hint for name, hint in FIELD_TYPES.items()
-                    if name != "runs"}
-    for p, hints in ((p_train, train_fields), (p_exp, FIELD_TYPES)):
-        p.add_argument("--config", help="JSON file with experiment fields")
-        _add_field_flags(p, hints, FIELD_CHOICES)
-    p_train.set_defaults(func=_cmd_train, runs=1)
+    p_exp.add_argument("--config", help="JSON file with experiment fields")
+    _add_field_flags(p_exp, FIELD_TYPES, FIELD_CHOICES)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_rep = sub.add_parser("report", help="re-aggregate persisted runs")
     p_rep.add_argument("--runs-dir", required=True)
-    p_rep.add_argument("--format", choices=["csv", "svg-plot-data"],
-                       default="csv")
     p_rep.add_argument("--out", default=".")
     p_rep.set_defaults(func=_cmd_report)
 
     p_grad = sub.add_parser("gradcheck", help="gradient acceptance suite")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--tol", type=float, default=TOL)
     p_grad.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -1,5 +1,5 @@
-"""Experiment campaigns: R seeded runs, persisted reports, aggregate CSVs
-and SVG error-bar charts.
+"""Experiment campaigns: R seeded runs, persisted reports and aggregate
+CSVs.
 
 Campaign layout under the output directory:
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 import types
 import typing
@@ -396,20 +395,19 @@ def _fmt(v: float) -> str:
 
 def emit_report(aggregate: AggregateReport, fmt: str, out_dir,
                 label: dict | None = None) -> list[Path]:
-    """Write the aggregate as CSV tables or as an SVG error-bar chart."""
+    """Write the aggregate as the three campaign CSV tables; "csv" is the
+    only format."""
+    if fmt != "csv":
+        raise ConfigError(f"unknown report format {fmt!r}")
     out_dir = Path(out_dir)
     label = label or {"model": "", "strategy": "", "quantile": ""}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            return [_write_aggregate_csv(out_dir / "aggregate.csv", aggregate, label),
-                    _write_wide_table(out_dir / "table.csv", aggregate),
-                    _write_plot_data(out_dir / "per_horizon_rmse.csv", aggregate)]
-        if fmt == "svg-plot-data":
-            return [_write_svg(out_dir / "report.svg", aggregate)]
+        return [_write_aggregate_csv(out_dir / "aggregate.csv", aggregate, label),
+                _write_wide_table(out_dir / "table.csv", aggregate),
+                _write_plot_data(out_dir / "per_horizon_rmse.csv", aggregate)]
     except OSError as exc:
         raise IoError(f"cannot write report under {out_dir}: {exc}") from exc
-    raise ConfigError(f"unknown report format {fmt!r}")
 
 
 def _write_aggregate_csv(path: Path, agg: AggregateReport, label: dict) -> Path:
@@ -463,72 +461,8 @@ def _write_trace(path: Path, config: ExperimentConfig, targets: np.ndarray,
             writer.writerow(row)
 
 
-def _write_svg(path: Path, agg: AggregateReport) -> Path:
-    """Minimal self-contained error-bar chart of per-horizon RMSE."""
-    width, height, margin = 640, 400, 60
-    cells = agg.per_horizon
-    n = len(cells)
-    top = max(c.mean + c.half_width for c in cells)
-    top = top * 1.15 if top > 0 else 1.0
-
-    def sx(j):
-        return margin + (width - 2 * margin) * (j + 0.5) / n
-
-    def sy(v):
-        return height - margin - (height - 2 * margin) * (v / top)
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-             f'y2="{height - margin}" stroke="black"/>',
-             f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-             f'y2="{height - margin}" stroke="black"/>']
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        v = top * frac
-        parts.append(f'<text x="{margin - 8}" y="{sy(v) + 4}" font-size="11" '
-                     f'text-anchor="end">{v:.4f}</text>')
-        parts.append(f'<line x1="{margin - 4}" y1="{sy(v)}" x2="{margin}" '
-                     f'y2="{sy(v)}" stroke="black"/>')
-    points = []
-    for j, cell in enumerate(cells):
-        x, y = sx(j), sy(cell.mean)
-        y_lo, y_hi = sy(cell.mean - cell.half_width), sy(cell.mean + cell.half_width)
-        points.append(f"{x:.1f},{y:.1f}")
-        parts.append(f'<line x1="{x}" y1="{y_lo}" x2="{x}" y2="{y_hi}" '
-                     f'stroke="steelblue" stroke-width="2"/>')
-        parts.append(f'<line x1="{x - 5}" y1="{y_lo}" x2="{x + 5}" y2="{y_lo}" '
-                     f'stroke="steelblue" stroke-width="2"/>')
-        parts.append(f'<line x1="{x - 5}" y1="{y_hi}" x2="{x + 5}" y2="{y_hi}" '
-                     f'stroke="steelblue" stroke-width="2"/>')
-        parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="steelblue"/>')
-        parts.append(f'<text x="{x}" y="{height - margin + 18}" font-size="12" '
-                     f'text-anchor="middle">Step {j + 1}</text>')
-    parts.append(f'<polyline points="{" ".join(points)}" fill="none" '
-                 f'stroke="steelblue" stroke-width="1.5"/>')
-    parts.append(f'<text x="{width / 2}" y="{height - margin + 38}" '
-                 f'font-size="13" text-anchor="middle">prediction horizon</text>')
-    parts.append(f'<text x="{width / 2}" y="{margin - 20}" font-size="13" '
-                 f'text-anchor="middle">RMSE mean with 95% confidence '
-                 f'interval ({agg.runs_completed} runs)</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-    return path
-
-
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
 
-
-# Honour an output-root override from the environment.
-OUTPUT_ENV_VAR = "QUANTFORECAST_OUT"
-
-
-def resolve_output_dir(path_like: str) -> str:
-    root = os.environ.get(OUTPUT_ENV_VAR)
-    if root and not os.path.isabs(path_like):
-        return str(Path(root) / path_like)
-    return path_like

@@ -68,11 +68,17 @@ class TestGenerate:
                      "z", "--out", str(out)]) == 0
         assert load_csv(out, "univariate").length == 80
 
-    def test_output_root_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QUANTFORECAST_OUT", str(tmp_path))
+    def test_relative_out_ignores_output_root_env(self, tmp_path,
+                                                  monkeypatch):
+        # QUANTFORECAST_OUT is not read: a relative --out lands under the
+        # working directory
+        root = tmp_path / "root"
+        monkeypatch.setenv("QUANTFORECAST_OUT", str(root))
+        monkeypatch.chdir(tmp_path)
         assert main(["generate", "mackey-glass", "--steps", "60",
                      "--out", "sub.csv"]) == 0
         assert (tmp_path / "sub.csv").exists()
+        assert not root.exists()
 
     def test_unset_flags_take_generator_defaults(self, tmp_path):
         out = tmp_path / "lz.csv"
@@ -292,21 +298,19 @@ class TestExperimentCommand:
          "--data-steps"),
         (["--dataset", "mackey-glass", "--csv-path", "/nonexistent.csv"],
          "reads no --csv-path"),
-        (["--dataset", "mackey-glass", "--runs", "3"],
-         "unrecognized arguments: --runs 3"),
         # flags are spelled in full: no prefix of --learning-rate
         (["--dataset", "mackey-glass", "--learning", "0.01"],
          "unrecognized arguments: --learning 0.01")],
-        ids=["data-steps", "csv-path", "runs", "abbreviated"])
+        ids=["data-steps", "csv-path", "abbreviated"])
     def test_dataset_setting_that_cannot_apply_exit_1(self, tmp_path, capsys,
                                                       flags, named):
         out = tmp_path / "run"
-        code = main(["train", "--family", "linear", "--out", str(out)]
-                    + flags)
+        code = main(["experiment", "--runs", "1", "--family", "linear",
+                     "--out", str(out)] + flags)
         assert code == 1
         captured = capsys.readouterr()
         # argparse prints its usage line before the error for a flag that
-        # train does not have
+        # experiment does not have
         error = captured.err.splitlines()[-1]
         assert error.startswith("config error:")
         assert named in error and captured.out == ""
@@ -408,7 +412,6 @@ class TestExperimentCommand:
         args = build_parser().parse_args(argv)
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert command_dests("experiment") - {"config"} == names
-        assert command_dests("train") == command_dests("experiment") - {"runs"}
         assert set(expected) == names
         # --data-steps applies to a generated series only, so it reaches a
         # config of its own
@@ -469,18 +472,21 @@ class TestExperimentCommand:
 
 
 class TestTrainCommand:
+    """Single-run campaigns: experiment --runs 1."""
+
     def test_single_run(self, tmp_path, capsys):
-        code = main(["train", "--dataset", "mackey-glass",
+        code = main(["experiment", "--runs", "1", "--dataset", "mackey-glass",
                      "--family", "linear", "--data-steps", "200",
                      "--window", "4", "--horizons", "2",
                      "--base-seed", "3", "--out", str(tmp_path)])
         assert code == 0
-        assert "run seed 3" in capsys.readouterr().out
+        assert "1/1 runs completed" in capsys.readouterr().out
         assert (tmp_path / "runs" / "run_3.json").exists()
 
     def test_neural_run_records_training_defaults(self, tmp_path):
-        code = main(["train", "--dataset", "mackey-glass", "--family", "lstm",
-                     "--data-steps", "60", "--window", "4", "--horizons", "2",
+        code = main(["experiment", "--runs", "1", "--dataset", "mackey-glass",
+                     "--family", "lstm", "--data-steps", "60",
+                     "--window", "4", "--horizons", "2",
                      "--hidden1", "2", "--hidden2", "2", "--epochs", "1",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -489,16 +495,6 @@ class TestTrainCommand:
 
 
 class TestReportCommand:
-    def test_reaggregate_and_svg(self, tmp_path, capsys):
-        main(["experiment", "--dataset", "mackey-glass", "--family",
-              "linear", "--runs", "2", "--data-steps", "200",
-              "--window", "4", "--horizons", "2", "--no-quantile",
-              "--out", str(tmp_path)])
-        code = main(["report", "--runs-dir", str(tmp_path / "runs"),
-                     "--format", "svg-plot-data", "--out", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "report.svg").read_text().startswith("<svg")
-
     def test_reaggregation_reproduces_campaign_tables(self, tmp_path):
         campaign = linear_campaign(tmp_path / "campaign")
         # A config written before a field was removed still labels its runs.
@@ -507,7 +503,7 @@ class TestReportCommand:
         (campaign / "config.json").write_text(json.dumps(config))
         again = tmp_path / "tables"
         code = main(["report", "--runs-dir", str(campaign / "runs"),
-                     "--format", "csv", "--out", str(again)])
+                     "--out", str(again)])
         assert code == 0
         for name in ("aggregate.csv", "table.csv", "per_horizon_rmse.csv"):
             assert (again / name).read_bytes() == \
@@ -572,11 +568,10 @@ class TestGradcheckCommand:
         assert "model edlstm/f1" in out
 
     @pytest.mark.parametrize("bad", [
-        ["--seed", "-1"], ["--seed", "18446744073709551616"],
-        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]])
+        ["--seed", "-1"], ["--seed", "18446744073709551616"]])
     def test_bad_settings_exit_1_before_any_check(self, monkeypatch, capsys,
                                                    bad):
-        def no_suite(seed, tol):
+        def no_suite(seed):
             raise AssertionError("the suite ran")
 
         monkeypatch.setattr("quantforecast.cli.run_suite", no_suite)
@@ -587,6 +582,34 @@ class TestGradcheckCommand:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--dataset", "mackey-glass", "--family", "linear",
+     "--data-steps", "200", "--out", "run"],
+    ["report", "--runs-dir", "campaign/runs", "--format", "csv",
+     "--out", "tables"],
+    ["report", "--runs-dir", "campaign/runs", "--format", "svg-plot-data",
+     "--out", "tables"],
+    ["gradcheck", "--tol", "1e-3"]],
+    ids=["train", "report-format-csv", "report-format-svg", "gradcheck-tol"])
+def test_removed_command_or_flag_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # train is experiment --runs 1, report writes only the CSV tables, and
+    # gradcheck's bound is gradsuite.TOL; each old spelling is unknown.
+    linear_campaign(tmp_path / "campaign")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr("quantforecast.cli.run_suite", no_suite)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith("config error:")
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_readme_command_examples_parse():
     # The fenced block under "Command line", continuations joined; parsing
     # runs none of the commands.
@@ -594,6 +617,6 @@ def test_readme_command_examples_parse():
     lines = block.replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines
                 if line.startswith("quantforecast ")]
-    assert len(commands) == 8
+    assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv)

@@ -386,15 +386,12 @@ class TestEmitReport:
             aggregate.per_horizon[2].mean
         assert parsed["quantile_rmse", "0.05"] == (0.0226, 0.0028)
 
-    def test_svg_written(self, tmp_path):
-        paths = emit_report(self.make_aggregate(), "svg-plot-data", tmp_path)
-        text = paths[0].read_text()
-        assert text.startswith("<svg")
-        assert "Step 5" in text
-
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_report(self.make_aggregate(), "pdf", tmp_path)
+        # "csv" is the only format; the retired SVG chart is unknown too
+        for fmt in ("pdf", "svg-plot-data"):
+            with pytest.raises(ConfigError):
+                emit_report(self.make_aggregate(), fmt, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_path(self, tmp_path):
         from quantforecast.errors import IoError
