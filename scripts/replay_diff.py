@@ -17,7 +17,9 @@ own, with the same relative paths on both sides. The list holds:
 - `generate` outputs, the `gradcheck` lines and a `report`
   re-aggregation;
 - failing commands, among them the spellings of retired commands and
-  flags, and a relative `--out` with QUANTFORECAST_OUT set.
+  flags, settings that a campaign does not read (`--linear-iterations`
+  on lstm, `--hidden2` on convlstm, `--data-seed` on a `csv` file), and
+  a relative `--out` with QUANTFORECAST_OUT set.
 
 Every command's exit code, stdout and stderr are kept as files beside
 what it wrote, with the work directory and the tree's `src` path masked.
@@ -148,7 +150,18 @@ def commands(quick: bool) -> list[tuple[str, list[str], dict]]:
                                "--format", "csv", "--out", "f13"]),
         ("report-format-svg", ["report", "--runs-dir", "quick/runs",
                                "--format", "svg-plot-data", "--out", "f14"]),
-        ("gradcheck-tol", ["gradcheck", "--tol", "1e-3"])]
+        ("gradcheck-tol", ["gradcheck", "--tol", "1e-3"]),
+        # settings the campaign does not read
+        ("lstm-linear-iterations", [*lstm, "--linear-iterations", "7",
+                                    "--out", "f15"]),
+        ("convlstm-hidden2", ["experiment", "--dataset", "mackey-glass",
+                              "--family", "convlstm", "--runs", "2",
+                              "--data-steps", "300", "--epochs", "1",
+                              "--hidden2", "5", "--out", "f16"]),
+        ("csv-data-seed", ["experiment", "--dataset", "csv", "--csv-path",
+                           "mg.csv", "--family", "linear", "--runs", "1",
+                           "--no-quantile", "--data-seed", "3",
+                           "--out", "f17"])]
     cmds += [(f"fail-{name}", argv, {}) for name, argv in failing]
     cmds.append(("output-root-env", ["generate", "mackey-glass", "--steps",
                                      "60", "--out", "env.csv"],
@@ -161,7 +174,9 @@ def write_inputs(work: Path) -> None:
     CSV, two empty directories, a run file that is not a run report and
     two run files of different horizon counts."""
     rng = np.random.default_rng(0)
-    close = 100.0 + np.cumsum(rng.normal(size=240))
+    # Python floats, whose repr is a plain number (numpy 2 writes
+    # np.float64(...), which no CSV reader parses)
+    close = (100.0 + np.cumsum(rng.normal(size=240))).tolist()
     day = datetime.date(2020, 1, 1)
     lines = ["Date,High,Low,Open,Close,Volume"]
     for i, c in enumerate(close):

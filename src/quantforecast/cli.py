@@ -5,9 +5,9 @@ campaign of one or more runs), report (re-aggregate persisted runs into the
 campaign CSVs, labelled from the campaign's config.json beside them),
 gradcheck (gradient acceptance suite). Each ExperimentConfig field has an
 experiment flag named after it (--out sets output_dir), and each generator
-setting a generate flag. A JSON config file may supply any experiment
-field, with a value of the type the field declares, and no other key;
-flags override file values. Output paths are used as given.
+is a generate subcommand with a flag per setting. A JSON config file may
+supply any experiment field, as a value of its declared type, and no
+other key; flags override file values. Output paths are used as given.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -94,17 +94,10 @@ def _experiment_config(args) -> ExperimentConfig:
 def _cmd_generate(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
-    # Unset flags leave the generator's own defaults in place; a flag that
-    # sets another generator's field is an error, not a silent no-op.
-    given = {f.name: getattr(args, f.name)
-             for cls, _ in GENERATORS.values()
-             for f in dataclasses.fields(cls)
-             if getattr(args, f.name, None) is not None}
+    # Unset flags leave the generator's own defaults in place.
     cls, generate = GENERATORS[args.generator]
-    foreign = sorted(set(given) - {f.name for f in dataclasses.fields(cls)})
-    if foreign:
-        raise ConfigError(f"{args.generator} takes no "
-                          + ", ".join(f"--{name}" for name in foreign))
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if getattr(args, f.name) is not None}
     series = generate(cls(**given), args.seed)
     write_series_csv(args.out, series)
     print(f"wrote {series.length} rows to {args.out}")
@@ -149,35 +142,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a synthetic series to CSV")
-    p_gen.add_argument("generator", choices=tuple(GENERATORS))
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
-    # one flag per generator setting; _cmd_generate rejects a flag that the
-    # chosen generator does not take
-    _add_field_flags(p_gen, {name: hint for cls, _ in GENERATORS.values()
-                             for name, hint in
-                             typing.get_type_hints(cls).items()}, {})
-    p_gen.set_defaults(func=_cmd_generate)
+    generators = p_gen.add_subparsers(dest="generator", required=True)
+    for name, (cls, _) in GENERATORS.items():
+        # one flag per setting of this generator
+        p = generators.add_parser(name, help=f"write a {name} series")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        _add_field_flags(p, typing.get_type_hints(cls), {})
+        p.set_defaults(func=_cmd_generate, parser=p)
 
     p_exp = sub.add_parser("experiment", help="run a seeded campaign")
     p_exp.add_argument("--config", help="JSON file with experiment fields")
     _add_field_flags(p_exp, FIELD_TYPES, FIELD_CHOICES)
-    p_exp.set_defaults(func=_cmd_experiment)
+    p_exp.set_defaults(func=_cmd_experiment, parser=p_exp)
 
     p_rep = sub.add_parser("report", help="re-aggregate persisted runs")
     p_rep.add_argument("--runs-dir", required=True)
     p_rep.add_argument("--out", default=".")
-    p_rep.set_defaults(func=_cmd_report)
+    p_rep.set_defaults(func=_cmd_report, parser=p_rep)
 
     p_grad = sub.add_parser("gradcheck", help="gradient acceptance suite")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.set_defaults(func=_cmd_gradcheck)
+    p_grad.set_defaults(func=_cmd_gradcheck, parser=p_grad)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:  # reported under the usage of the command given
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -54,8 +54,9 @@ FIELD_CHOICES = {"family": FAMILIES, "dataset": (*GENERATORS, *FILE_SCHEMAS),
 
 # Table of hidden sizes per family: market datasets follow the reference
 # architecture table; generated/univariate benchmarks reuse the same sizes.
+# convlstm has one LSTM stage, so it reads no hidden2.
 DEFAULT_HIDDEN = {"lstm": (50, 50), "bdlstm": (50, 50), "edlstm": (100, 100),
-                  "convlstm": (20, 20)}
+                  "convlstm": (20, None)}
 
 
 @dataclass
@@ -78,11 +79,11 @@ class ExperimentConfig:
     base_seed: int = 0
     train_fraction: float = 0.8
     csv_path: str | None = None
-    data_seed: int = 0
+    data_seed: int | None = None
     data_steps: int | None = None
     data_limit: int | None = None
     data_offset: int = 0
-    linear_iterations: int = 5000
+    linear_iterations: int | None = None
     workers: int = 1
     output_dir: str = "."
 
@@ -97,12 +98,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"multivariate strategy needs a multi-feature dataset, "
                 f"got {self.dataset!r}")
+        # A None-default field holds a value only if the campaign reads it.
+        reads = _read_settings(self)
+        unread = [f.name for f in fields(self) if f.default is None
+                  and f.name not in reads and getattr(self, f.name) is not None]
+        if unread:
+            raise ConfigError(f"family {self.family!r} on dataset "
+                              f"{self.dataset!r} takes no {', '.join(unread)}")
+        for name, default in reads.items():
+            if getattr(self, name) is None:
+                setattr(self, name, default)
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if not 0 <= self.base_seed <= 2**64 - self.runs:
             raise ConfigError(f"run seeds from base seed {self.base_seed} "
                               f"must lie in [0, 2**64)")
-        if not 0 <= self.data_seed < 2**64:
+        if self.data_seed is not None and not 0 <= self.data_seed < 2**64:
             raise ConfigError(f"data seed must lie in [0, 2**64), "
                               f"got {self.data_seed}")
         if self.data_limit is not None and self.data_limit < 1:
@@ -111,7 +122,7 @@ class ExperimentConfig:
         if self.data_offset < 0:
             raise ConfigError(f"data offset must be >= 0, "
                               f"got {self.data_offset}")
-        if self.linear_iterations < 1:
+        if self.linear_iterations is not None and self.linear_iterations < 1:
             raise ConfigError(f"linear iterations must be >= 1, "
                               f"got {self.linear_iterations}")
         if self.workers < 1:
@@ -120,45 +131,15 @@ class ExperimentConfig:
             raise ConfigError("train fraction must be in (0, 1)")
         if self.dataset in FILE_SCHEMAS and not self.csv_path:
             raise ConfigError(f"dataset {self.dataset!r} needs --csv-path")
-        if self.dataset in FILE_SCHEMAS and self.data_steps is not None:
-            raise ConfigError(f"dataset {self.dataset!r} is read from a "
-                              f"file and takes no --data-steps")
-        if self.dataset in GENERATORS and self.csv_path is not None:
-            raise ConfigError(f"dataset {self.dataset!r} is generated and "
-                              f"reads no --csv-path")
         self.quantiles = check_quantiles(self.quantiles) if self.quantile \
             else (0.5,)
         if 0.5 not in self.quantiles:
             raise ConfigError(f"quantile set {self.quantiles} must include "
                               f"0.5, the level the run reports score")
-        is_market = _schema(self) == "market"
-        if self.window is None:
-            self.window = 6 if is_market else 5
-        if self.horizons is None:
-            self.horizons = 5 if is_market else 10
         # Bad generator, geometry and training numbers fail before any run.
         _generator_params(self)
         check_geometry(self.window, self.horizons)
-        if self.family == "linear":
-            given = [name for name in ("hidden1", "hidden2", "epochs",
-                                       "batch_size", "learning_rate")
-                     if getattr(self, name) is not None]
-            if given:
-                raise ConfigError(f"family 'linear' is fitted by the "
-                                  f"baselines and takes no "
-                                  f"{', '.join(given)}")
-        else:
-            h1, h2 = DEFAULT_HIDDEN[self.family]
-            if self.hidden1 is None:
-                self.hidden1 = h1
-            if self.hidden2 is None:
-                self.hidden2 = h2
-            if self.epochs is None:
-                self.epochs = 100 if is_market else 300
-            if self.batch_size is None:
-                self.batch_size = TrainConfig.batch_size
-            if self.learning_rate is None:
-                self.learning_rate = TrainConfig.learning_rate
+        if self.family != "linear":
             _model_spec(self, 1)
             _train_config(self)
 
@@ -207,6 +188,28 @@ def _check_field_types(config: ExperimentConfig) -> None:
                               f"{type(value).__name__} {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def _read_settings(config: ExperimentConfig) -> dict:
+    """The None-default fields that config's campaign reads, each with the
+    value an unset one takes."""
+    market = _schema(config) == "market"
+    reads = {"window": 6 if market else 5, "horizons": 5 if market else 10,
+             "data_limit": None}
+    if config.dataset in GENERATORS:
+        reads.update(data_seed=0, data_steps=None)
+    else:
+        reads.update(csv_path=None)
+    if config.family == "linear":
+        reads.update(linear_iterations=5000)
+    else:
+        hidden1, hidden2 = DEFAULT_HIDDEN[config.family]
+        reads.update(hidden1=hidden1, epochs=100 if market else 300,
+                     batch_size=TrainConfig.batch_size,
+                     learning_rate=TrainConfig.learning_rate)
+        if hidden2 is not None:
+            reads["hidden2"] = hidden2
+    return reads
 
 
 def build_series(config: ExperimentConfig) -> RawSeries:
@@ -308,6 +311,8 @@ def _pool_entry(args) -> tuple[int, RunReport | None, str | None]:
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute the configured campaign and persist all artifacts. Failed
     runs are recorded and skipped; the aggregate covers completed runs."""
+    # A campaign whose data fails to load leaves no directory behind.
+    series = build_series(config)
     out_dir = Path(config.output_dir)
     for sub in ("runs", "traces"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
@@ -316,8 +321,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     seeds = list(range(config.base_seed, config.base_seed + config.runs))
     reports: list[RunReport] = []
     failures: list[dict] = []
-
-    series = build_series(config)
     jobs = [(config, series, s) for s in seeds]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

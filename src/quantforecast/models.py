@@ -67,7 +67,7 @@ class ModelSpec:
     window: int
     horizons: int
     hidden1: int
-    hidden2: int
+    hidden2: int | None
     quantiles: tuple[float, ...] = (0.5,)
     conv_filters: int = 64
 
@@ -77,7 +77,9 @@ class ModelSpec:
         check_geometry(self.window, self.horizons)
         if self.features < 1:
             raise ConfigError(f"need features >= 1, got f={self.features}")
-        if self.hidden1 < 1 or self.hidden2 < 1 or self.conv_filters < 1:
+        # convlstm has one LSTM stage, so it reads no hidden2
+        if self.hidden1 < 1 or self.conv_filters < 1 or (
+                self.family != "convlstm" and self.hidden2 < 1):
             raise ConfigError(
                 f"need hidden sizes and conv filters >= 1; got "
                 f"h1={self.hidden1}, h2={self.hidden2}, "

@@ -13,8 +13,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("flags", [
     ["--family", "lstm", "--steps", "2", "--batch", "8"],
+    # convlstm's default hidden sizes hold no hidden2
+    ["--family", "convlstm", "--steps", "2", "--batch", "8"],
     ["--family", "quantile-linear", "--steps", "1"]],
-    ids=["lstm", "quantile-linear"])
+    ids=["lstm", "convlstm", "quantile-linear"])
 def test_same_checkout_twice_is_bitwise_equal(flags):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "ab_steps.py"), str(ROOT),

@@ -18,15 +18,23 @@ from quantforecast.experiment import FAMILIES, STRATEGIES, ExperimentConfig
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def command_actions(command):
+def subcommands(parser):
+    """The subcommand name -> parser table of parser."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def command_actions(*command):
+    """The actions of a command, given as its words (experiment, or
+    generate lorenz)."""
     parser = build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    return commands.choices[command]._actions
+    for word in command:
+        parser = subcommands(parser)[word]
+    return parser._actions
 
 
-def command_dests(command):
-    return {a.dest for a in command_actions(command)} - {"help"}
+def command_dests(*command):
+    return {a.dest for a in command_actions(*command)} - {"help"}
 
 
 def experiment_choices(flag):
@@ -41,6 +49,11 @@ def run_file(**changes):
                             "per_horizon_rmse": [0.1, 0.2],
                             "per_quantile_rmse": [0.15], "mean_rmse": 0.15,
                             "wall_seconds": 1.0}, **changes))
+
+
+# A linear campaign on a short generated series.
+LINEAR = ["--family", "linear", "--dataset", "mackey-glass",
+          "--data-steps", "200"]
 
 
 def linear_campaign(out):
@@ -105,25 +118,28 @@ class TestGenerate:
 
     @pytest.mark.parametrize("flags, named", [
         (["mackey-glass", "--rho", "5", "--component", "z"],
-         "mackey-glass takes no --component, --rho"),
-        (["lorenz", "--a", "0.9", "--delay", "3"],
-         "lorenz takes no --a, --delay"),
-        (["lorenz", "--steps", "50", "--b", "0.1"], "lorenz takes no --b")],
+         "--rho 5 --component z"),
+        (["lorenz", "--a", "0.9", "--delay", "3"], "--a 0.9 --delay 3"),
+        (["lorenz", "--steps", "50", "--b", "0.1"], "--b 0.1")],
         ids=["mackey-glass", "lorenz", "lorenz-b"])
     def test_flag_of_another_generator_exit_1(self, tmp_path, capsys, flags,
                                               named):
+        # each generator is a subcommand, so argparse reports the flag
+        # under that generator's usage
         out = tmp_path / "series.csv"
         assert main(["generate"] + flags + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"config error: {named}\n"
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: quantforecast generate {flags[0]}")
+        assert lines[-1] == (f"config error: quantforecast generate "
+                             f"{flags[0]}: unrecognized arguments: {named}")
         assert captured.out == ""
         assert not out.exists()
 
     def test_one_flag_per_generator_setting(self):
-        settings = {name for cls, _ in GENERATORS.values()
-                    for name in typing.get_type_hints(cls)}
-        assert command_dests("generate") == settings | {"generator", "seed",
-                                                        "out"}
+        for name, (cls, _) in GENERATORS.items():
+            assert command_dests("generate", name) == \
+                set(typing.get_type_hints(cls)) | {"seed", "out"}
 
     @pytest.mark.parametrize("settings, series", [
         (["lorenz", "--dt", "0.5", "--steps", "2000"], "'lorenz'"),
@@ -221,19 +237,28 @@ class TestExperimentCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, named", [
-        (["--hidden1", "50"], "hidden1"), (["--epochs", "7"], "epochs"),
-        (["--hidden1", "0"], "hidden1"), (["--batch-size", "8"], "batch_size"),
-        (["--learning-rate", "0.01"], "learning_rate")])
+        ([*LINEAR, "--hidden1", "50"], "hidden1"),
+        ([*LINEAR, "--epochs", "7"], "epochs"),
+        ([*LINEAR, "--hidden1", "0"], "hidden1"),
+        ([*LINEAR, "--batch-size", "8"], "batch_size"),
+        ([*LINEAR, "--learning-rate", "0.01"], "learning_rate"),
+        # the same rule for every family and dataset
+        (["--family", "lstm", "--dataset", "mackey-glass",
+          "--linear-iterations", "7"], "linear_iterations"),
+        (["--family", "convlstm", "--dataset", "mackey-glass",
+          "--hidden2", "5"], "hidden2"),
+        (["--family", "linear", "--dataset", "csv", "--csv-path", "x.csv",
+          "--data-seed", "3"], "data_seed")])
     def test_neural_setting_on_linear_campaign_exit_1(self, tmp_path, capsys,
                                                       flags, named):
         out = tmp_path / "campaign"
-        code = main(["experiment", "--dataset", "mackey-glass",
-                     "--family", "linear", "--runs", "1",
-                     "--data-steps", "200", "--out", str(out)] + flags)
+        code = main(["experiment", "--runs", "1", "--out", str(out)] + flags)
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("config error:")
-        assert f"takes no {named}" in captured.err and captured.out == ""
+        family, dataset = flags[1], flags[3]
+        assert captured.err == (f"config error: family '{family}' on dataset "
+                                f"'{dataset}' takes no {named}\n")
+        assert captured.out == ""
         assert not out.exists()
 
     def test_old_linear_config_file_exit_1(self, tmp_path, capsys):
@@ -295,9 +320,9 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("flags, named", [
         (["--dataset", "csv", "--csv-path", "f.csv", "--data-steps", "7"],
-         "--data-steps"),
+         "family 'linear' on dataset 'csv' takes no data_steps"),
         (["--dataset", "mackey-glass", "--csv-path", "/nonexistent.csv"],
-         "reads no --csv-path"),
+         "family 'linear' on dataset 'mackey-glass' takes no csv_path"),
         # flags are spelled in full: no prefix of --learning-rate
         (["--dataset", "mackey-glass", "--learning", "0.01"],
          "unrecognized arguments: --learning 0.01")],
@@ -389,59 +414,75 @@ class TestExperimentCommand:
         assert not out.exists()
 
     def test_every_experiment_flag_reaches_the_config(self, tmp_path):
+        # No campaign reads every field: a neural campaign on a file and a
+        # linear one on a generated series cover them between them.
         out = str(tmp_path / "campaign")
-        expected = dict(
+        neural = dict(
             name="n", dataset="csv", csv_path="x.csv", family="lstm",
             strategy="multivariate", quantile=True, quantiles=(0.1, 0.5, 0.9),
             window=7, horizons=3, hidden1=4, hidden2=6, epochs=2,
             batch_size=8, learning_rate=0.01, base_seed=5,
-            train_fraction=0.7, data_seed=9, data_steps=400, data_limit=300,
-            data_offset=10, linear_iterations=7, workers=2,
+            train_fraction=0.7, data_limit=300, data_offset=10, workers=2,
             output_dir=out, runs=4)
-        argv = ["experiment", "--name", "n", "--dataset", "csv",
-                "--csv-path", "x.csv", "--family", "lstm",
-                "--strategy", "multivariate", "--quantile",
-                "--quantiles", "0.1", "0.5", "0.9", "--window", "7",
-                "--horizons", "3", "--hidden1", "4", "--hidden2", "6",
-                "--epochs", "2", "--batch-size", "8",
-                "--learning-rate", "0.01", "--base-seed", "5",
-                "--train-fraction", "0.7", "--data-seed", "9",
-                "--data-steps", "400", "--data-limit", "300",
-                "--data-offset", "10", "--linear-iterations", "7",
-                "--workers", "2", "--out", out, "--runs", "4"]
-        args = build_parser().parse_args(argv)
+        neural_argv = [
+            "--name", "n", "--dataset", "csv", "--csv-path", "x.csv",
+            "--family", "lstm", "--strategy", "multivariate", "--quantile",
+            "--quantiles", "0.1", "0.5", "0.9", "--window", "7",
+            "--horizons", "3", "--hidden1", "4", "--hidden2", "6",
+            "--epochs", "2", "--batch-size", "8", "--learning-rate", "0.01",
+            "--base-seed", "5", "--train-fraction", "0.7",
+            "--data-limit", "300", "--data-offset", "10", "--workers", "2",
+            "--out", out, "--runs", "4"]
+        linear = dict(dataset="mackey-glass", family="linear", data_seed=9,
+                      data_steps=400, linear_iterations=7)
+        linear_argv = ["--dataset", "mackey-glass", "--family", "linear",
+                       "--data-seed", "9", "--data-steps", "400",
+                       "--linear-iterations", "7"]
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert command_dests("experiment") - {"config"} == names
-        assert set(expected) == names
-        # --data-steps applies to a generated series only, so it reaches a
-        # config of its own
-        args.data_steps = None
-        config = _experiment_config(args)
-        for key, value in expected.items():
-            if key != "data_steps":
+        assert set(neural) | set(linear) == names
+        for expected, argv in ((neural, neural_argv), (linear, linear_argv)):
+            config = _experiment_config(
+                build_parser().parse_args(["experiment", *argv]))
+            for key, value in expected.items():
                 assert getattr(config, key) == value, key
-        config = _experiment_config(build_parser().parse_args(
-            ["experiment", "--dataset", "mackey-glass", "--family", "lstm",
-             "--data-steps", "400"]))
-        assert config.data_steps == 400
 
     def test_choices_come_from_the_library(self):
         assert experiment_choices("--dataset") == (*GENERATORS,
                                                    *FILE_SCHEMAS)
         assert experiment_choices("--dataset") == (
             "mackey-glass", "lorenz", "bitcoin", "ethereum", "sunspot", "csv")
-        generator = next(a for a in command_actions("generate")
-                         if a.dest == "generator")
-        assert generator.choices == tuple(GENERATORS)
+        # each generator is a generate subcommand
+        assert tuple(subcommands(subcommands(build_parser())["generate"])) \
+            == tuple(GENERATORS)
         assert experiment_choices("--strategy") == STRATEGIES
         assert experiment_choices("--family") == FAMILIES
 
     def test_missing_csv_file_exit_2(self, tmp_path, capsys):
+        # the data loads before the campaign directory is made
+        out = tmp_path / "campaign"
         code = main(["experiment", "--dataset", "bitcoin",
                      "--family", "linear", "--runs", "1",
                      "--csv-path", str(tmp_path / "absent.csv"),
-                     "--out", str(tmp_path)])
+                     "--out", str(out)])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["experiment", "--learning", "0.01"], "quantforecast experiment"),
+        (["generate", "mackey-glass", "--rho", "5", "--out", "mg.csv"],
+         "quantforecast generate mackey-glass")],
+        ids=["experiment", "generate"])
+    def test_unknown_flag_shows_its_command_usage(self, tmp_path,
+                                                  monkeypatch, capsys, argv,
+                                                  usage):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0].startswith(f"usage: {usage}")
+        assert "unrecognized arguments:" in captured.err.splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
 
     def test_multivariate_on_one_column_csv_exit_2(self, tmp_path, capsys):
         path = tmp_path / "value.csv"
@@ -492,6 +533,7 @@ class TestTrainCommand:
         assert code == 0
         config = json.loads((tmp_path / "config.json").read_text())
         assert (config["batch_size"], config["learning_rate"]) == (64, 1e-4)
+        assert config["linear_iterations"] is None
 
 
 class TestReportCommand:

@@ -20,9 +20,10 @@ from quantforecast.training import TrainConfig
 def tiny_config(tmp_path, **kw):
     fields = dict(name="tiny", dataset="mackey-glass", family="linear",
                   quantile=True, runs=3, base_seed=0, data_steps=240,
-                  window=5, horizons=3, linear_iterations=300,
-                  output_dir=str(tmp_path))
+                  window=5, horizons=3, output_dir=str(tmp_path))
     fields.update(kw)
+    if fields["family"] == "linear":  # only the linear fit reads it
+        fields.setdefault("linear_iterations", 300)
     return ExperimentConfig(**fields)
 
 
@@ -49,8 +50,10 @@ class TestConfigValidation:
             tiny_config(tmp_path, dataset="bitcoin", data_steps=None)
 
     @pytest.mark.parametrize("kw, match", [
-        (dict(dataset="csv", csv_path="x.csv"), "--data-steps"),
-        (dict(csv_path="x.csv", data_steps=None), "reads no --csv-path")],
+        (dict(dataset="csv", csv_path="x.csv"),
+         "dataset 'csv' takes no data_steps$"),
+        (dict(csv_path="x.csv", data_steps=None),
+         "dataset 'mackey-glass' takes no csv_path$")],
         ids=["data-steps", "csv-path"])
     def test_dataset_setting_that_cannot_apply(self, tmp_path, kw, match):
         with pytest.raises(ConfigError, match=match):
@@ -156,11 +159,20 @@ class TestConfigValidation:
                 tiny_config(tmp_path).learning_rate) == (None, None)
 
     def test_linear_campaign_resolves_no_neural_settings(self, tmp_path):
-        config = tiny_config(tmp_path)
-        assert (config.hidden1, config.hidden2, config.epochs) \
+        # config.json records null for each setting a campaign does not read
+        saved = tiny_config(tmp_path).to_dict()
+        assert (saved["hidden1"], saved["hidden2"], saved["epochs"]) \
             == (None, None, None)
         assert DEFAULT_HIDDEN.keys() == set(MODEL_FAMILIES)
         assert FAMILIES == (*MODEL_FAMILIES, "linear")
+        neural = tiny_config(tmp_path, family="lstm").to_dict()
+        assert neural["linear_iterations"] is None
+        assert tiny_config(tmp_path, family="convlstm").to_dict()[
+            "hidden2"] is None
+        file = tiny_config(tmp_path, dataset="csv", data_steps=None,
+                           csv_path="x.csv").to_dict()
+        assert file["data_seed"] is None
+        assert (neural["data_seed"], file["linear_iterations"]) == (0, 300)
 
     @pytest.mark.parametrize("kw, named", [
         (dict(hidden1=50), "hidden1"), (dict(hidden2=0), "hidden2"),
@@ -169,11 +181,18 @@ class TestConfigValidation:
         (dict(batch_size=0), "batch_size"),
         (dict(learning_rate=-1.0), "learning_rate"),
         (dict(batch_size=64, learning_rate=1e-4),
-         "batch_size, learning_rate")])
+         "batch_size, learning_rate"),
+        # the same rule for every family and dataset
+        (dict(family="lstm", linear_iterations=7), "linear_iterations"),
+        (dict(family="convlstm", hidden2=5), "hidden2"),
+        (dict(dataset="csv", csv_path="x.csv", data_steps=None,
+              data_seed=3), "data_seed")])
     def test_neural_setting_on_linear_campaign_rejected(self, tmp_path, kw,
                                                         named):
-        with pytest.raises(ConfigError,
-                           match=f"'linear' .* takes no {named}$"):
+        family = kw.get("family", "linear")
+        dataset = kw.get("dataset", "mackey-glass")
+        with pytest.raises(ConfigError, match=f"^family '{family}' on dataset "
+                           f"'{dataset}' takes no {named}$"):
             tiny_config(tmp_path, **kw)
 
 
