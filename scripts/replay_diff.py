@@ -18,14 +18,18 @@ own, with the same relative paths on both sides. The list holds:
   re-aggregation;
 - failing commands, among them the spellings of retired commands and
   flags, settings that a campaign does not read (`--linear-iterations`
-  on lstm, `--hidden2` on convlstm, `--data-seed` on a `csv` file), and
-  a relative `--out` with QUANTFORECAST_OUT set.
+  on lstm and on a classic linear campaign, `--hidden2` on convlstm,
+  `--data-seed` on a `csv` file), a seed outside [0, 2**64) for
+  `generate` and `gradcheck`, and a relative `--out` with
+  QUANTFORECAST_OUT set.
 
 Every command's exit code, stdout and stderr are kept as files beside
 what it wrote, with the work directory and the tree's `src` path masked.
 Then every file of the two sides is compared byte for byte. The only
-values skipped are `wall_seconds` in run reports (`run_*.json`) and
-`output_dir` in `config.json`. For each file that differs or exists on
+values skipped are `wall_seconds` in run reports (`run_*.json`),
+`output_dir` in `config.json`, and the line number of a warning's
+location `<src>/quantforecast/<module>.py:<line>` in stderr, which moves
+with any edit above it. For each file that differs or exists on
 one side only, one JSON line is printed with the first differing cell:
 the row and column of a CSV, the key path of a JSON file, or the line of
 any other file. A summary goes to stderr. Exit status: 0 when nothing
@@ -59,7 +63,8 @@ QUICK_LINEAR = ["experiment", "--dataset", "mackey-glass", "--family",
                 "4", "--horizons", "2", "--no-quantile", "--out", "quick"]
 # Values that differ between identical runs: masked before comparing.
 MASKS = {"config.json": re.compile(rb'("output_dir": )"[^"]*"'),
-         "run_*.json": re.compile(rb'("wall_seconds": )[-+.\deE]+')}
+         "run_*.json": re.compile(rb'("wall_seconds": )[-+.\deE]+'),
+         "stderr": re.compile(rb'(<src>/quantforecast/[\w/]+\.py:)\d+')}
 
 
 def commands(quick: bool) -> list[tuple[str, list[str], dict]]:
@@ -142,6 +147,8 @@ def commands(quick: bool) -> list[tuple[str, list[str], dict]]:
         ("report-disagreeing-runs", ["report", "--runs-dir", "bad-shape",
                                      "--out", "f11"]),
         ("gradcheck-bad-seed", ["gradcheck", "--seed", "-1"]),
+        ("generate-bad-seed", ["generate", "mackey-glass", "--seed", "-1",
+                               "--out", "f18.csv"]),
         # retired spellings
         ("train", ["train", "--dataset", "mackey-glass", "--family",
                    "linear", "--data-steps", "300", "--no-quantile",
@@ -161,7 +168,9 @@ def commands(quick: bool) -> list[tuple[str, list[str], dict]]:
         ("csv-data-seed", ["experiment", "--dataset", "csv", "--csv-path",
                            "mg.csv", "--family", "linear", "--runs", "1",
                            "--no-quantile", "--data-seed", "3",
-                           "--out", "f17"])]
+                           "--out", "f17"]),
+        ("classic-linear-iterations", [*linear, "--linear-iterations", "7",
+                                       "--out", "f19"])]
     cmds += [(f"fail-{name}", argv, {}) for name, argv in failing]
     cmds.append(("output-root-env", ["generate", "mackey-glass", "--steps",
                                      "60", "--out", "env.csv"],

@@ -92,8 +92,6 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_generate(args) -> int:
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
     # Unset flags leave the generator's own defaults in place.
     cls, generate = GENERATORS[args.generator]
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
@@ -110,8 +108,9 @@ def _cmd_experiment(args) -> int:
     print(f"{aggregate.runs_completed}/{aggregate.runs_requested} runs "
           f"completed; mean RMSE {aggregate.mean_rmse.mean:.4f} "
           f"+- {aggregate.mean_rmse.half_width:.4f}")
-    if aggregate.failures:
-        print(f"{len(aggregate.failures)} run(s) failed; see failures.json")
+    failed = aggregate.runs_requested - aggregate.runs_completed
+    if failed:
+        print(f"{failed} run(s) failed; see failures.json")
     return 0
 
 
@@ -128,8 +127,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {args.seed}")
     ok = run_suite(seed=args.seed)
     print("gradient suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 2

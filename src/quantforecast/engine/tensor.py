@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import ConfigError, NumericalError
 
 _node_ids = itertools.count()
 
@@ -26,7 +26,7 @@ class SeededRng:
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         seed = int(seed)
         if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+            raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = seed
         self.path = tuple(int(k) for k in path)
         self._gen = np.random.Generator(

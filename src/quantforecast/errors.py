@@ -31,7 +31,7 @@ class InvalidQuantile(ConfigError):
     """Quantile level outside the open interval (0, 1) or not increasing."""
 
 
-class MissingMedian(ForecastError):
+class MissingMedian(ConfigError):
     """The 0.5 quantile is required but absent from the quantile set."""
 
 
@@ -62,7 +62,3 @@ class DegenerateFeature(ForecastError):
 
 class EmptyEval(ForecastError):
     """Metric requested over an empty prediction set."""
-
-
-class IoError(ForecastError):
-    """Report or artifact could not be written."""

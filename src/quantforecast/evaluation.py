@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,15 @@ class RunReport:
                    wall_seconds=float(d["wall_seconds"]), **optional)
 
 
+def median_index(quantiles: tuple[float, ...]) -> int:
+    """Where the 0.5 level, the one a run report scores, sits in a
+    checked quantile set."""
+    if 0.5 not in quantiles:
+        raise MissingMedian(f"quantile set {quantiles} must include 0.5, "
+                            f"the level the run reports score")
+    return quantiles.index(0.5)
+
+
 def make_run_report(seed: int, targets: np.ndarray, predictions: np.ndarray,
                     quantiles, wall_seconds: float) -> RunReport:
     """Score one run's (n, m, K) test predictions against its (n, m)
@@ -81,9 +90,7 @@ def make_run_report(seed: int, targets: np.ndarray, predictions: np.ndarray,
         raise ShapeError("run-report", y.shape, p.shape)
     if y.size == 0:
         raise EmptyEval("run report over an empty test set")
-    if 0.5 not in qs:
-        raise MissingMedian(f"0.5 not in quantile set {qs}")
-    median = qs.index(0.5)
+    median = median_index(qs)
     # One (n, m) reduction per level: reducing a broadcast (n, m, K) error
     # array over windows sums in another order when m = 1, and the scores
     # then differ in the last bit.
@@ -117,7 +124,6 @@ class AggregateReport:
     mean_rmse: AggregateCell
     per_horizon: list[AggregateCell]
     per_quantile: list[AggregateCell]
-    failures: list[dict] = field(default_factory=list)
 
 
 def _cell(samples: np.ndarray) -> AggregateCell:
@@ -130,8 +136,8 @@ def _cell(samples: np.ndarray) -> AggregateCell:
                          half_width=float(_Z_95 * s / np.sqrt(r)))
 
 
-def aggregate_runs(reports: list[RunReport], runs_requested: int | None = None,
-                   failures: list[dict] | None = None) -> AggregateReport:
+def aggregate_runs(reports: list[RunReport],
+                   runs_requested: int | None = None) -> AggregateReport:
     """Reduce run reports to per-cell mean and half-width. A single run
     yields zero half-widths (warned, since no spread is estimable)."""
     if not reports:
@@ -154,4 +160,4 @@ def aggregate_runs(reports: list[RunReport], runs_requested: int | None = None,
     return AggregateReport(
         runs_requested=runs_requested, runs_completed=len(reports),
         quantiles=qs, mean_rmse=mean_cell, per_horizon=horizon_cells,
-        per_quantile=quantile_cells, failures=failures or [])
+        per_quantile=quantile_cells)

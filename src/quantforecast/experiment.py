@@ -37,9 +37,9 @@ from .datapipe import (FILE_SCHEMAS, GENERATORS, RawSeries, check_geometry,
                        crop, load_csv, make_windows, normalize_and_split,
                        target_column)
 from .engine import SeededRng
-from .errors import ConfigError, EmptyEval, IoError, SchemaError
+from .errors import ConfigError, EmptyEval, SchemaError
 from .evaluation import (AggregateReport, RunReport, aggregate_runs,
-                         make_run_report)
+                         make_run_report, median_index)
 from .losses import DEFAULT_QUANTILES, check_quantiles
 from .models import ModelSpec, build_model, forward_pass
 from .training import TrainConfig, train
@@ -133,9 +133,7 @@ class ExperimentConfig:
             raise ConfigError(f"dataset {self.dataset!r} needs --csv-path")
         self.quantiles = check_quantiles(self.quantiles) if self.quantile \
             else (0.5,)
-        if 0.5 not in self.quantiles:
-            raise ConfigError(f"quantile set {self.quantiles} must include "
-                              f"0.5, the level the run reports score")
+        median_index(self.quantiles)
         # Bad generator, geometry and training numbers fail before any run.
         _generator_params(self)
         check_geometry(self.window, self.horizons)
@@ -201,7 +199,8 @@ def _read_settings(config: ExperimentConfig) -> dict:
     else:
         reads.update(csv_path=None)
     if config.family == "linear":
-        reads.update(linear_iterations=5000)
+        if config.quantile:  # the OLS fit has no iterations
+            reads.update(linear_iterations=5000)
     else:
         hidden1, hidden2 = DEFAULT_HIDDEN[config.family]
         reads.update(hidden1=hidden1, epochs=100 if market else 300,
@@ -337,9 +336,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         _write_json(out_dir / "failures.json", failures)
     if not reports:
         raise EmptyEval(f"all {config.runs} runs failed; see failures.json")
-    reports.sort(key=lambda r: r.seed)
-    aggregate = aggregate_runs(reports, runs_requested=config.runs,
-                               failures=failures)
+    aggregate = aggregate_runs(reports, runs_requested=config.runs)
     emit_report(aggregate, "csv", out_dir,
                 label=_label(config.family, config.strategy, config.quantile))
     return aggregate
@@ -404,13 +401,10 @@ def emit_report(aggregate: AggregateReport, fmt: str, out_dir,
         raise ConfigError(f"unknown report format {fmt!r}")
     out_dir = Path(out_dir)
     label = label or {"model": "", "strategy": "", "quantile": ""}
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return [_write_aggregate_csv(out_dir / "aggregate.csv", aggregate, label),
-                _write_wide_table(out_dir / "table.csv", aggregate),
-                _write_plot_data(out_dir / "per_horizon_rmse.csv", aggregate)]
-    except OSError as exc:
-        raise IoError(f"cannot write report under {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [_write_aggregate_csv(out_dir / "aggregate.csv", aggregate, label),
+            _write_wide_table(out_dir / "table.csv", aggregate),
+            _write_plot_data(out_dir / "per_horizon_rmse.csv", aggregate)]
 
 
 def _write_aggregate_csv(path: Path, agg: AggregateReport, label: dict) -> Path:

@@ -23,8 +23,7 @@ gate blocks ordered [input, forget, cell, output] along the fused axis):
   <stage>.w_x  (n, 4h)   glorot uniform
   <stage>.w_h  (h, 4h)   glorot uniform
   <stage>.b    (4h,)     zeros
-  conv.w       (2, 1, 64) univariate / (2, f, 1, 64) multivariate, glorot;
-               the multivariate kernel is used as (2, f, 64)
+  conv.w       (2, f, 1, 64) glorot, used as (2, f, 64)
   conv.b       (64,)     zeros
   head.w       (width, m*K) or (h2, K) for edlstm, glorot
   head.b       matching head.w columns, zeros
@@ -154,11 +153,7 @@ def build_model(spec: ModelSpec, rng: SeededRng) -> Model:
         _lstm_params(rng, "dec", h1, h2, params)
         _head_params(rng, h2, k, params)
     else:  # convlstm
-        if f == 1:
-            kernel_shape = (CONV_KERNEL, 1, spec.conv_filters)
-        else:
-            kernel_shape = (CONV_KERNEL, f, 1, spec.conv_filters)
-        _param(params, "conv.w", kernel_shape, rng)
+        _param(params, "conv.w", (CONV_KERNEL, f, 1, spec.conv_filters), rng)
         _param(params, "conv.b", (spec.conv_filters,))
         _lstm_params(rng, "lstm1", spec.conv_filters, h1, params)
         _head_params(rng, h1, m * k, params)
@@ -275,10 +270,8 @@ def forward_pass(model: Model, window_batch) -> Tensor:
                                  (batch * m, spec.hidden2)), params)
         else:  # convlstm
             stage = "conv"
-            w = params["conv.w"]
-            if spec.features > 1:  # (k, f, 1, filters) -> (k, f, filters)
-                w = reshape(w, (CONV_KERNEL, spec.features,
-                                spec.conv_filters))
+            w = reshape(params["conv.w"], (CONV_KERNEL, spec.features,
+                                           spec.conv_filters))
             conv = relu(add(conv1d(x, w), params["conv.b"]))
             stage = "lstm1"
             seq = _lstm(_project(_steps(conv), params, "lstm1"), params,

@@ -110,9 +110,6 @@ def train(model: Model, dataset, config: TrainConfig,
     """Train on the dataset's training split; returns the per-epoch mean
     loss trace. Raises TrainingDiverged, naming the epoch and the failing
     stage, if the loss or a gradient goes non-finite."""
-    if config.loss == "mse" and model.spec.levels != 1:
-        raise ConfigError("mse loss requires a single-level (classic) model; "
-                          f"model has {model.spec.levels} quantile levels")
     inputs = dataset.train_inputs
     targets = dataset.train_targets
     n = inputs.shape[0]

@@ -248,7 +248,9 @@ class TestExperimentCommand:
         (["--family", "convlstm", "--dataset", "mackey-glass",
           "--hidden2", "5"], "hidden2"),
         (["--family", "linear", "--dataset", "csv", "--csv-path", "x.csv",
-          "--data-seed", "3"], "data_seed")])
+          "--data-seed", "3"], "data_seed"),
+        (["--family", "linear", "--dataset", "mackey-glass", "--no-quantile",
+          "--linear-iterations", "7"], "linear_iterations")])
     def test_neural_setting_on_linear_campaign_exit_1(self, tmp_path, capsys,
                                                       flags, named):
         out = tmp_path / "campaign"
@@ -260,6 +262,26 @@ class TestExperimentCommand:
                                 f"'{dataset}' takes no {named}\n")
         assert captured.out == ""
         assert not out.exists()
+
+    def test_failed_run_counted(self, tmp_path, monkeypatch, capsys):
+        import quantforecast.experiment as exp
+
+        original = exp.run_single
+        def flaky(config, series, seed):
+            if seed == 1:
+                raise RuntimeError("synthetic failure")
+            return original(config, series, seed)
+
+        monkeypatch.setattr(exp, "run_single", flaky)
+        code = main(["experiment", "--runs", "3", "--no-quantile",
+                     "--window", "4", "--horizons", "2", *LINEAR,
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("2/3 runs completed; mean RMSE ")
+        assert lines[1:] == ["1 run(s) failed; see failures.json"]
+        failures = json.loads((tmp_path / "failures.json").read_text())
+        assert [f["seed"] for f in failures] == [1]
 
     def test_old_linear_config_file_exit_1(self, tmp_path, capsys):
         # A linear config.json written before linear campaigns stopped
@@ -588,6 +610,17 @@ class TestReportCommand:
                               f"horizons, but run_0.json has (0.5,) over 2")
         assert not out.exists()
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        campaign = linear_campaign(tmp_path / "campaign")
+        blocked = tmp_path / "file"
+        blocked.write_text("x")
+        code = main(["report", "--runs-dir", str(campaign / "runs"),
+                     "--out", str(blocked / "tables")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocked / "tables") in err
+        assert "Traceback" not in err
+
     def test_bad_campaign_config_exit_2(self, tmp_path, capsys):
         campaign = linear_campaign(tmp_path / "campaign")
         (campaign / "config.json").write_text('{"family": "linear"}')
@@ -611,16 +644,12 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize("bad", [
         ["--seed", "-1"], ["--seed", "18446744073709551616"]])
-    def test_bad_settings_exit_1_before_any_check(self, monkeypatch, capsys,
-                                                   bad):
-        def no_suite(seed):
-            raise AssertionError("the suite ran")
-
-        monkeypatch.setattr("quantforecast.cli.run_suite", no_suite)
+    def test_bad_settings_exit_1_before_any_check(self, capsys, bad):
+        # the suite's first SeededRng rejects the seed before any line
         assert main(["gradcheck"] + bad) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("config error:")
-        assert "Traceback" not in captured.err
+        assert captured.err == (f"config error: seed must lie in "
+                                f"[0, 2**64), got {bad[1]}\n")
         assert captured.out == ""
 
 

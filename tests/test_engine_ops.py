@@ -7,7 +7,8 @@ from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, concat,
                                   conv1d, hadamard, matmul, pinball_branch,
                                   reduce_mean, relu, reshape, sigmoid,
                                   slice_axis, sub, tanh)
-from quantforecast.errors import InvalidQuantile, NumericalError, ShapeError
+from quantforecast.errors import (ConfigError, InvalidQuantile,
+                                  NumericalError, ShapeError)
 
 
 class TestTensorNew:
@@ -162,6 +163,16 @@ class TestFinitenessContract:
         # magnitude is at most 1, which a level outside [0, 1] breaks.
         with pytest.raises(InvalidQuantile):
             pinball_branch(Tensor([[1e308, -1e308]]), q)
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_a_config_error(self, seed):
+        # the one copy of the seed range, which generate and gradcheck
+        # report as a config error
+        with pytest.raises(ConfigError, match=rf"^seed must lie in "
+                           rf"\[0, 2\*\*64\), got {seed}$"):
+            SeededRng(seed)
 
 
 class TestStructuralProperties:

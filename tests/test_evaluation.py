@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from quantforecast.errors import EmptyEval, MissingMedian, ShapeError
+from quantforecast.errors import (ConfigError, EmptyEval, MissingMedian,
+                                  ShapeError)
 from quantforecast.evaluation import RunReport, aggregate_runs, make_run_report
 from quantforecast.losses import DEFAULT_QUANTILES
 
@@ -83,8 +84,12 @@ class TestQuantileRmse:
             assert out[j] == pytest.approx(scalar, abs=1e-12)
 
     def test_median_required(self):
-        with pytest.raises(MissingMedian):
+        # the campaign config's error and message: one rule for both
+        with pytest.raises(ConfigError, match=r"^quantile set \(0\.25, "
+                           r"0\.75\) must include 0\.5, the level the run "
+                           r"reports score$") as exc:
             score(np.zeros((2, 2)), np.zeros((2, 2, 2)), (0.25, 0.75))
+        assert exc.type is MissingMedian
 
     def test_single_level_must_be_the_median(self):
         # mean_rmse is the 0.5 level's, so a lone 0.9 level is not scored

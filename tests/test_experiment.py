@@ -22,8 +22,8 @@ def tiny_config(tmp_path, **kw):
                   quantile=True, runs=3, base_seed=0, data_steps=240,
                   window=5, horizons=3, output_dir=str(tmp_path))
     fields.update(kw)
-    if fields["family"] == "linear":  # only the linear fit reads it
-        fields.setdefault("linear_iterations", 300)
+    if fields["family"] == "linear" and fields["quantile"]:
+        fields.setdefault("linear_iterations", 300)  # only this fit reads it
     return ExperimentConfig(**fields)
 
 
@@ -186,7 +186,9 @@ class TestConfigValidation:
         (dict(family="lstm", linear_iterations=7), "linear_iterations"),
         (dict(family="convlstm", hidden2=5), "hidden2"),
         (dict(dataset="csv", csv_path="x.csv", data_steps=None,
-              data_seed=3), "data_seed")])
+              data_seed=3), "data_seed"),
+        # the OLS fit of a classic linear campaign has no iterations
+        (dict(quantile=False, linear_iterations=7), "linear_iterations")])
     def test_neural_setting_on_linear_campaign_rejected(self, tmp_path, kw,
                                                         named):
         family = kw.get("family", "linear")
@@ -413,10 +415,10 @@ class TestEmitReport:
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_path(self, tmp_path):
-        from quantforecast.errors import IoError
+        # OSError, as every campaign file writer raises; the CLI exits 2
         blocked = tmp_path / "file"
         blocked.write_text("x")
-        with pytest.raises(IoError):
+        with pytest.raises(OSError):
             emit_report(self.make_aggregate(), "csv", blocked / "sub")
 
 

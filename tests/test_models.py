@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quantforecast.engine import (SeededRng, Tensor, add, concat, conv1d,
-                                  matmul)
+                                  matmul, reshape)
 from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
 from quantforecast.models import (FAMILIES, ModelSpec, build_model,
@@ -156,10 +156,9 @@ def parameter_table(family, f, m, k, h1, h2, filters):
                 + lstm("lstm2", 2 * h1, h2) + head(h2, m * k))
     if family == "edlstm":
         return lstm("enc", f, h1) + lstm("dec", h1, h2) + head(h2, k)
-    # convlstm: the kernel's receptive field (2 steps, times f features
-    # when multivariate) scales both fans.
-    kernel = (2, 1, filters) if f == 1 else (2, f, 1, filters)
-    return ([("conv.w", kernel, (2 * f, 2 * f * filters)),
+    # convlstm: the kernel is (2, f, 1, filters) for every f; its
+    # receptive field, 2 steps times f features, scales both fans.
+    return ([("conv.w", (2, f, 1, filters), (2 * f, 2 * f * filters)),
              ("conv.b", (filters,), None)]
             + lstm("lstm1", filters, h1) + head(h1, m * k))
 
@@ -207,7 +206,8 @@ class TestBuildShapes:
                          hidden1=20, hidden2=20)
         model = build_model(spec, SeededRng(0))
         window = np.zeros((2, 6, 1))
-        conv = conv1d(Tensor(window), model.params["conv.w"])
+        kernel = reshape(model.params["conv.w"], (2, 1, 64))
+        conv = conv1d(Tensor(window), kernel)
         assert conv.shape == (2, 5, 64)  # d - kernel + 1
         assert forward_pass(model, window).shape == (2, 5, 1)
 

@@ -9,7 +9,8 @@ import pytest
 from quantforecast import training
 from quantforecast.datapipe import WindowedDataset
 from quantforecast.engine import OP_TABLE, SeededRng, Tensor
-from quantforecast.errors import ConfigError, NumericalError, TrainingDiverged
+from quantforecast.errors import (ConfigError, NumericalError, ShapeError,
+                                  TrainingDiverged)
 from quantforecast.models import FAMILIES, ModelSpec, build_model, forward_pass
 from quantforecast.training import AdamState, TrainConfig, adam_step, train
 
@@ -105,9 +106,13 @@ class TestTrainLoop:
         spec = ModelSpec(family="lstm", features=1, window=3, horizons=2,
                          hidden1=3, hidden2=3, quantiles=(0.25, 0.5, 0.75))
         model = build_model(spec, SeededRng(0))
-        with pytest.raises(ConfigError):
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        # mse_loss_batch rejects the first batch, before any update
+        with pytest.raises(ShapeError, match="^mse-loss: "):
             train(model, dataset, TrainConfig(epochs=1, loss="mse"),
                   SeededRng(1))
+        assert all(np.array_equal(p.data, before[name])
+                   for name, p in model.params.items())
 
     def test_identical_seeds_identical_traces(self):
         dataset = linear_dataset()
