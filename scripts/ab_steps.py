@@ -23,19 +23,22 @@ and 0.95.
 
 Prints one JSON object: ms per step and the median minor page faults
 per step of each side, the A/B ratio of the total and of the median step
-time, and whether the two sides' parameters stayed bitwise equal. When
-the two sides' median minor faults per step differ, it also prints one
-warning line on stderr (see the caveat below).
+time, each side's tracemalloc peak over one extra, untimed step
+(`*_step_peak_mb`, in MiB), and whether the two sides' parameters stayed
+bitwise equal after it. When the two sides' median minor faults per step
+differ, it also prints one warning line on stderr (see the caveat below).
 
 Caveat: both sides share one process and so one glibc heap, and each
 side's allocations change where the other's arrays land. When the two
 sides' `*_minor_faults_per_step` differ, the time ratio may not hold in
-separate processes: confirm it with alternating `perfbench` pairs. An
-edlstm variant that dropped the forward arrays no backward closure reads
-(bitwise equal to its parent) read 1.092 here over 300 steps, with 1168
-minor faults per step against 0, yet in three `mg-edlstm-quantile` pairs
-its `train_windows_per_s` did not move and `predict_windows_per_s` fell
-by about 10%.
+separate processes: confirm it with alternating `perfbench` pairs. The
+value-free tape records, which free the forward arrays no backward
+closure reads (bitwise equal to the code before them), read 1.17-1.22
+here for edlstm over 300 steps, with 1253 minor faults per step before them
+against 0 after; yet in ten alternating `mg-edlstm-quantile` pairs their
+`train_windows_per_s` rose by only 3%, inside the spread between the
+quartiles of the runs before them, while `peak_rss_mb` fell from 67.3
+to 62.2 MB.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import importlib.util  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
+import tracemalloc  # noqa: E402
 import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
@@ -134,6 +138,15 @@ class Side:
             self.faults.append(
                 resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 
+    def step_peak_mb(self, index: np.ndarray) -> float:
+        """The most memory one more step allocates at once, in MiB."""
+        tracemalloc.start()
+        try:
+            self.step(index)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
     def state(self) -> list[np.ndarray]:
         if self.model is None:
             return [self.fit.coef, self.fit.intercept,
@@ -169,11 +182,13 @@ def main(argv=None) -> int:
     a = Side(load(args.a, "qf_a"), args)
     b = Side(load(args.b, "qf_b"), args)
     n = a.data.train_inputs.shape[0]
-    for s, index in enumerate(batches(n, args.batch,
-                                      WARMUP_STEPS + args.steps, SEED)):
+    *timed, extra = batches(n, args.batch, WARMUP_STEPS + args.steps + 1,
+                            SEED)
+    for s, index in enumerate(timed):
         record = s >= WARMUP_STEPS
         for side in ((a, b) if s % 2 == 0 else (b, a)):
             side.timed_step(index, record)
+    peaks = a.step_peak_mb(extra), b.step_peak_mb(extra)
 
     ms_a = 1e3 * np.asarray(a.seconds)
     ms_b = 1e3 * np.asarray(b.seconds)
@@ -186,6 +201,8 @@ def main(argv=None) -> int:
         "median_ratio_a_over_b": float(np.median(ms_a / ms_b)),
         "a_minor_faults_per_step": float(np.median(a.faults)),
         "b_minor_faults_per_step": float(np.median(b.faults)),
+        "a_step_peak_mb": peaks[0],
+        "b_step_peak_mb": peaks[1],
         "bitwise_equal": all(x.tobytes() == y.tobytes()
                              for x, y in zip(a.state(), b.state())),
     }

@@ -1,4 +1,10 @@
-"""Reverse-mode traversal of the recorded tape."""
+"""Reverse-mode traversal of the recorded tape.
+
+The tape is a graph of entries: the value-free record of each op result
+and the leaves it reaches. backward() walks the entries, never the op
+results' Tensors, so it needs no forward array that a closure does not
+hold itself.
+"""
 
 from __future__ import annotations
 
@@ -13,12 +19,12 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     keyed by the leaf tensor. Parameters passed in but unreachable from the
     loss get a zero gradient of the matching shape.
 
-    Nodes are visited by descending node id. An op draws its id after
+    Tape entries are visited by descending node id. An op draws its id after
     its parents', so that order is topological: every consumer of a node
     hands back its gradient before the node passes it on, and a node's
     contributions are summed in descending consumer-id order.
 
-    The recorded graph is consumed: op nodes drop their parents and
+    The recorded graph is consumed: op records drop their parents and
     closures afterwards, so a second reverse pass through the same nodes
     raises instead of silently returning zeros.
     """
@@ -27,8 +33,9 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     if loss.consumed:
         raise RuntimeError("graph already consumed by a previous backward()")
 
-    reachable = {loss.node_id: loss}
-    stack = [loss]
+    root = loss.entry
+    reachable = {root.node_id: root}
+    stack = [root]
     while stack:
         for parent in stack.pop().parents:
             if parent.node_id not in reachable:

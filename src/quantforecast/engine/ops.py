@@ -5,6 +5,13 @@ gradient can reach it, records the node on the tape with a closure that
 maps the output gradient to the gradients of the parents a gradient can
 reach; constants such as input windows and loss targets get none.
 
+A closure holds its parents' tape entries and only the arrays its
+gradient reads: matmul and hadamard both operands, conv1d the input
+windows and the kernel, sigmoid and tanh their own output, relu its mask
+and the pinball branch its slope. add, sub, slice, reshape, concat and
+reduce-mean keep shapes and indices only. Any other forward array dies
+with its Tensor, during the forward pass.
+
 A NaN or Inf raises NumericalError at the op that produced it instead of
 propagating. Only the ops that can turn finite inputs into a non-finite
 result check theirs: matmul, add, sub, hadamard, conv1d and reduce-mean,
@@ -34,8 +41,9 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _live(t: Tensor) -> bool:
-    """Whether a gradient can reach t: it is trainable or recorded."""
+def _live(t) -> bool:
+    """Whether a gradient can reach a tensor or tape entry: it is
+    trainable or recorded."""
     return t.requires_grad or t.backward_fn is not None
 
 
@@ -46,7 +54,8 @@ def _node(op: str, data: np.ndarray, parents, backward_fn) -> Tensor:
     # its parents nor its closure, so a forward pass through frozen
     # tensors holds no tape.
     if any(_live(p) for p in parents):
-        return _op_result(data, op, tuple(parents), backward_fn)
+        return _op_result(data, op, tuple(p.entry for p in parents),
+                          backward_fn)
     return _op_result(data, op)
 
 
@@ -75,13 +84,14 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor):
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast("add", a, b)
+    ea, eb, a_shape, b_shape = a.entry, b.entry, a.shape, b.shape
 
     def backward_fn(g):
         out = []
-        if _live(a):
-            out.append((a, _unbroadcast(g, a.shape)))
-        if _live(b):
-            out.append((b, _unbroadcast(g, b.shape)))
+        if _live(ea):
+            out.append((ea, _unbroadcast(g, a_shape)))
+        if _live(eb):
+            out.append((eb, _unbroadcast(g, b_shape)))
         return out
 
     return _node("add", a.data + b.data, (a, b), backward_fn)
@@ -90,13 +100,14 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast("sub", a, b)
+    ea, eb, a_shape, b_shape = a.entry, b.entry, a.shape, b.shape
 
     def backward_fn(g):
         out = []
-        if _live(a):
-            out.append((a, _unbroadcast(g, a.shape)))
-        if _live(b):
-            out.append((b, _unbroadcast(-g, b.shape)))
+        if _live(ea):
+            out.append((ea, _unbroadcast(g, a_shape)))
+        if _live(eb):
+            out.append((eb, _unbroadcast(-g, b_shape)))
         return out
 
     return _node("sub", a.data - b.data, (a, b), backward_fn)
@@ -105,16 +116,17 @@ def sub(a, b) -> Tensor:
 def hadamard(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast("hadamard", a, b)
+    ea, eb, ad, bd = a.entry, b.entry, a.data, b.data
 
     def backward_fn(g):
         out = []
-        if _live(a):
-            out.append((a, _unbroadcast(g * b.data, a.shape)))
-        if _live(b):
-            out.append((b, _unbroadcast(g * a.data, b.shape)))
+        if _live(ea):
+            out.append((ea, _unbroadcast(g * bd, ad.shape)))
+        if _live(eb):
+            out.append((eb, _unbroadcast(g * ad, bd.shape)))
         return out
 
-    return _node("hadamard", a.data * b.data, (a, b), backward_fn)
+    return _node("hadamard", ad * bd, (a, b), backward_fn)
 
 
 def matmul(a, b) -> Tensor:
@@ -122,15 +134,17 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
 
+    ea, eb, ad, bd = a.entry, b.entry, a.data, b.data
+
     def backward_fn(g):
         out = []
-        if _live(a):
-            out.append((a, g @ b.data.T))
-        if _live(b):
-            out.append((b, a.data.T @ g))
+        if _live(ea):
+            out.append((ea, g @ bd.T))
+        if _live(eb):
+            out.append((eb, ad.T @ g))
         return out
 
-    return _node("matmul", a.data @ b.data, (a, b), backward_fn)
+    return _node("matmul", ad @ bd, (a, b), backward_fn)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -145,15 +159,16 @@ def concat(tensors, axis: int) -> Tensor:
             raise ShapeError("concat", tensors[0].shape, t.shape)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    entries = [t.entry for t in tensors]
 
     def backward_fn(g):
         out = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if not _live(t):
+        for e, lo, hi in zip(entries, offsets[:-1], offsets[1:]):
+            if not _live(e):
                 continue
             index = [slice(None)] * ndim
             index[axis] = slice(int(lo), int(hi))
-            out.append((t, g[tuple(index)]))
+            out.append((e, g[tuple(index)]))
         return out
 
     return _node("concat", np.concatenate([t.data for t in tensors], axis=axis),
@@ -167,11 +182,12 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)
+    ea, a_shape = a.entry, a.shape
 
     def backward_fn(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(a_shape)
         full[index] = g
-        return [(a, full)]
+        return [(ea, full)]
 
     return _node("slice", a.data[index], (a,), backward_fn)
 
@@ -182,8 +198,10 @@ def reshape(a, shape) -> Tensor:
     if int(np.prod(shape)) != a.size:
         raise ShapeError("reshape", a.shape, shape)
 
+    ea, a_shape = a.entry, a.shape
+
     def backward_fn(g):
-        return [(a, g.reshape(a.shape))]
+        return [(ea, g.reshape(a_shape))]
 
     return _node("reshape", a.data.reshape(shape), (a,), backward_fn)
 
@@ -194,9 +212,10 @@ def sigmoid(a) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    ea = a.entry
 
     def backward_fn(g):
-        return [(a, g * out * (1.0 - out))]
+        return [(ea, g * out * (1.0 - out))]
 
     return _node("sigmoid", out, (a,), backward_fn)
 
@@ -204,9 +223,10 @@ def sigmoid(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = _wrap(a)
     out = np.tanh(a.data)
+    ea = a.entry
 
     def backward_fn(g):
-        return [(a, g * (1.0 - out * out))]
+        return [(ea, g * (1.0 - out * out))]
 
     return _node("tanh", out, (a,), backward_fn)
 
@@ -215,9 +235,10 @@ def relu(a) -> Tensor:
     a = _wrap(a)
     # Gradient at exactly 0 is defined as 0.
     mask = a.data > 0
+    ea = a.entry
 
     def backward_fn(g):
-        return [(a, g * mask)]
+        return [(ea, g * mask)]
 
     return _node("relu", np.where(mask, a.data, 0.0), (a,), backward_fn)
 
@@ -231,18 +252,20 @@ def conv1d(x, w) -> Tensor:
     k = w.shape[0]
     length_out = x.shape[1] - k + 1
     windows = sliding_window_view(x.data, k, axis=1)  # (B, Lout, Cin, K)
-    out = np.tensordot(windows, w.data, axes=([3, 2], [0, 1]))
+    kernel = w.data
+    out = np.tensordot(windows, kernel, axes=([3, 2], [0, 1]))
+    ex, ew, x_shape = x.entry, w.entry, x.shape
 
     def backward_fn(g):
         out = []
-        if _live(x):
-            gx = np.zeros(x.shape)
+        if _live(ex):
+            gx = np.zeros(x_shape)
             for j in range(k):
-                gx[:, j:j + length_out, :] += g @ w.data[j].T
-            out.append((x, gx))
-        if _live(w):
+                gx[:, j:j + length_out, :] += g @ kernel[j].T
+            out.append((ex, gx))
+        if _live(ew):
             gw = np.tensordot(windows, g, axes=([0, 1], [0, 1]))  # (Cin, K, Cout)
-            out.append((w, gw.transpose(1, 0, 2)))
+            out.append((ew, gw.transpose(1, 0, 2)))
         return out
 
     return _node("conv1d", out, (x, w), backward_fn)
@@ -251,11 +274,12 @@ def conv1d(x, w) -> Tensor:
 def reduce_mean(a) -> Tensor:
     a = _wrap(a)
     n = a.size
+    ea, a_shape = a.entry, a.shape
 
     def backward_fn(g):
         # A read-only view: backward() adds into only the sums it made
         # and copies a view before returning it as a leaf's gradient.
-        return [(a, np.broadcast_to(g / n, a.shape))]
+        return [(ea, np.broadcast_to(g / n, a_shape))]
 
     return _node("reduce-mean", np.asarray(np.mean(a.data)), (a,),
                  backward_fn)
@@ -281,9 +305,10 @@ def pinball_branch(u, q) -> Tensor:
     # q - 1 where u < 0 and q - 0 = q elsewhere: the values of
     # np.where(u >= 0, q, q - 1), without where's slow broadcast of q.
     slope = q_arr - (u.data < 0)
+    eu, u_shape = u.entry, u.shape
 
     def backward_fn(g):
-        return [(u, _unbroadcast(g * slope, u.shape))]
+        return [(eu, _unbroadcast(g * slope, u_shape))]
 
     return _node("pinball-residual-branch", slope * u.data, (u,), backward_fn)
 

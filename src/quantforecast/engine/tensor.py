@@ -1,5 +1,11 @@
-"""Dense float64 tensors, and the seeded random stream that draws initial
-weights, data splits and batch orders."""
+"""Dense float64 tensors, their value-free tape records, and the seeded
+random stream that draws initial weights, data splits and batch orders.
+
+A Tensor holds a value; the Record of the op that made it holds what
+backward() needs besides the arrays its closure keeps. Records link to
+records and leaves only, so the tape holds an op result's value only
+where a closure reads it.
+"""
 
 from __future__ import annotations
 
@@ -51,16 +57,17 @@ class Tensor:
     """N-dimensional float64 array recorded on an autodiff tape.
 
     Tensor(...) builds checked leaves (inputs, constants, trainable
-    parameters). Op tensors, which the ops build, carry the producing op
-    kind and, when a gradient can reach them, their parent nodes and a
-    closure computing parent gradients from the output gradient.
-    Node ids increase monotonically with creation, so they are already a
-    topological order of the (acyclic) recorded graph. Data produced by an
-    op is treated as immutable.
+    parameters); a leaf is its own tape entry. An op result keeps its
+    value here and everything else in its Record: the op kind, the parent
+    entries, the backward closure, the node id and the consumed flag.
+    Once an op result's Tensor is dropped, its array lives on only if a
+    closure reads it. `op`, `parents`, `backward_fn` and `consumed` read
+    through to the record. Node ids increase monotonically with creation,
+    so they are already a topological order of the (acyclic) recorded
+    graph. Data produced by an op is treated as immutable.
     """
 
-    __slots__ = ("data", "requires_grad", "op", "parents", "backward_fn",
-                 "name", "node_id", "consumed")
+    __slots__ = ("data", "requires_grad", "name", "node_id", "record")
 
     def __init__(self, data, requires_grad: bool = False,
                  name: str | None = None):
@@ -70,12 +77,31 @@ class Tensor:
                                  + (f" {name!r}" if name else ""))
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.op = "leaf"
-        self.parents = ()
-        self.backward_fn = None
         self.name = name
         self.node_id = next(_node_ids)
-        self.consumed = False
+        self.record = None
+
+    @property
+    def entry(self):
+        """The tape entry: the record of the op that made this tensor, or
+        the leaf itself."""
+        return self if self.record is None else self.record
+
+    @property
+    def op(self) -> str:
+        return "leaf" if self.record is None else self.record.op
+
+    @property
+    def parents(self) -> tuple:
+        return () if self.record is None else self.record.parents
+
+    @property
+    def backward_fn(self):
+        return None if self.record is None else self.record.backward_fn
+
+    @property
+    def consumed(self) -> bool:
+        return self.record is not None and self.record.consumed
 
     @property
     def shape(self) -> tuple:
@@ -97,20 +123,37 @@ class Tensor:
         return f"Tensor({tag}, shape={self.shape})"
 
 
+class Record:
+    """The value-free tape entry of one op result. Off every gradient path
+    it has no parents and no closure; backward() empties a consumed one."""
+
+    __slots__ = ("op", "parents", "backward_fn", "node_id", "consumed")
+    requires_grad = False
+    name = None
+
+    def __init__(self, op: str, parents: tuple, backward_fn):
+        self.op = op
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.node_id = next(_node_ids)
+        self.consumed = False
+
+    def __repr__(self):
+        return f"Record({self.op}, node_id={self.node_id})"
+
+
 def _op_result(data: np.ndarray, op: str, parents: tuple = (),
                backward_fn=None) -> Tensor:
-    """Engine-private: the op node around a float64 result, built without
+    """Engine-private: the op result around a float64 array, built without
     the finiteness check of Tensor(...), which builds leaves only. The ops
     call it after checking the result themselves, or where finite inputs
-    cannot give a non-finite result."""
+    cannot give a non-finite result. parents are tape entries (records,
+    or leaves), and backward_fn hands gradients back to them."""
+    record = Record(op, parents, backward_fn)
     t = Tensor.__new__(Tensor)
     t.data = data
     t.requires_grad = False
-    t.op = op
-    t.parents = parents
-    t.backward_fn = backward_fn
     t.name = None
-    t.node_id = next(_node_ids)
-    t.consumed = False
+    t.node_id = record.node_id
+    t.record = record
     return t
-

@@ -99,7 +99,10 @@ class Model:
 
     def frozen(self) -> "Model":
         """A view sharing these weights through which no op records a
-        tape, for predictions that no backward() consumes."""
+        tape, for predictions that no backward() consumes. A training step
+        already frees the forward arrays that no backward closure reads; a
+        frozen pass keeps no closures, so it also frees the gate
+        activations and cell states that training holds for backward."""
         return Model(self.spec, {name: Tensor(p.data)
                                  for name, p in self.params.items()})
 
@@ -170,8 +173,10 @@ def _steps(x: Tensor) -> list[Tensor]:
 def _project(steps: list[Tensor], params: dict[str, Tensor],
              prefix: str) -> Iterator[Tensor]:
     """The input projections x_t @ w_x of the LSTM stage named prefix, each
-    made when the recurrence reaches its step: a prediction through frozen
-    weights then holds one (batch, 4h) projection at a time, not T."""
+    made when the recurrence reaches its step. No backward closure reads a
+    projection (the add that takes it keeps only shapes), so a forward
+    pass, recorded or frozen, holds one (batch, 4h) projection at a time,
+    not T."""
     w_x = params[f"{prefix}.w_x"]
     return (matmul(x_t, w_x) for x_t in steps)
 
@@ -188,6 +193,8 @@ def _lstm(projections: Iterable[Tensor], params: dict[str, Tensor],
     outputs = []
     for xw in projections:
         h, c = _cell(xw, h, c, w_h, b)
+        # Free this projection before the generator makes the next one.
+        del xw
         outputs.append(h)
     return outputs
 
@@ -196,8 +203,10 @@ def _cell(xw: Tensor, h: Tensor | None, c: Tensor | None, w_h: Tensor,
           b: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step from input projection xw and states h, c (None at step
     0); returns the new (h, c). The pre-activation and gates are locals, so
-    a prediction through frozen weights frees them when the step returns,
-    not when the next step rebinds them."""
+    their arrays are freed when the step returns, not when the next step
+    rebinds them, unless a backward closure reads them: in training the
+    gate activations stay on the tape (sigmoid, tanh and hadamard keep
+    them), while the pre-activation z and its slices go."""
     hidden = w_h.shape[0]
     z = add(xw, b) if h is None else add(add(xw, matmul(h, w_h)), b)
     i = sigmoid(slice_axis(z, 1, 0, hidden))

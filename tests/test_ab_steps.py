@@ -1,5 +1,5 @@
 """Smoke test of scripts/ab_steps.py: two paths to this checkout train
-bitwise-equal and report positive step times."""
+bitwise-equal and report positive step times and step memory peaks."""
 
 import json
 import subprocess
@@ -25,3 +25,4 @@ def test_same_checkout_twice_is_bitwise_equal(flags):
     summary = json.loads(proc.stdout)
     assert summary["bitwise_equal"] is True
     assert summary["a_ms_per_step"] > 0 and summary["b_ms_per_step"] > 0
+    assert summary["a_step_peak_mb"] > 0 and summary["b_step_peak_mb"] > 0

@@ -1,4 +1,8 @@
-"""Reverse pass against independent finite-difference oracles."""
+"""Reverse pass against independent finite-difference oracles, and what
+the tape keeps."""
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,13 +10,15 @@ import pytest
 from quantforecast import training
 from quantforecast.engine import (OP_TABLE, SeededRng, Tensor, add, backward,
                                   concat, conv1d, hadamard, matmul,
-                                  pinball_branch, reduce_mean, reshape,
+                                  pinball_branch, reduce_mean, relu, reshape,
                                   sigmoid, slice_axis, sub, tanh)
 from quantforecast.engine.tensor import _op_result
 from quantforecast.errors import NotScalar
 from quantforecast.gradsuite import (check_all_families, check_all_ops,
                                      grad_check)
-from quantforecast.models import FAMILIES, ModelSpec, build_model
+from quantforecast.losses import DEFAULT_QUANTILES, quantile_loss_batch
+from quantforecast.models import (FAMILIES, ModelSpec, build_model,
+                                  forward_pass)
 
 
 def central_difference(loss_fn, param, h=1e-5):
@@ -118,6 +124,85 @@ class TestBackwardBasics:
         backward(loss, [p])
         with pytest.raises(RuntimeError):
             backward(loss, [p])
+
+
+# One recorded call per op kind, given a maker of recorded (non-leaf)
+# inputs of a shape, so that every parent entry is a record.
+TAPE_CASES = {
+    "matmul": lambda t: matmul(t((2, 3)), t((3, 4))),
+    "add": lambda t: add(t((2, 3)), t((2, 3))),
+    "sub": lambda t: sub(t((2, 3)), t((1, 3))),
+    "hadamard": lambda t: hadamard(t((2, 3)), t((2, 3))),
+    "concat": lambda t: concat([t((2, 3)), t((2, 2))], axis=1),
+    "slice": lambda t: slice_axis(t((2, 3)), 1, 0, 2),
+    "reshape": lambda t: reshape(t((2, 3)), (3, 2)),
+    "sigmoid": lambda t: sigmoid(t((2, 3))),
+    "tanh": lambda t: tanh(t((2, 3))),
+    "relu": lambda t: relu(t((2, 3))),
+    "conv1d": lambda t: conv1d(t((2, 4, 2)), t((2, 2, 3))),
+    "reduce-mean": lambda t: reduce_mean(t((2, 3))),
+    "pinball-residual-branch": lambda t: pinball_branch(t((2, 3)), 0.3),
+}
+# Kinds whose gradient reads no forward value.
+SHAPE_ONLY = ("add", "sub", "slice", "reshape", "concat", "reduce-mean")
+
+
+class TestTapeContract:
+    @pytest.mark.parametrize("kind", sorted(OP_TABLE))
+    def test_recorded_closure_holds_no_tensor(self, kind, rng):
+        def recorded(shape):
+            leaf = Tensor(rng.normal(size=shape), requires_grad=True)
+            return reshape(leaf, shape)
+
+        out = TAPE_CASES[kind](recorded)
+        assert out.op == kind and out.backward_fn is not None
+        held = [cell.cell_contents for cell in out.backward_fn.__closure__]
+        held += [x for c in held if isinstance(c, (list, tuple)) for x in c]
+        assert not any(isinstance(c, Tensor) for c in held)
+        if kind in SHAPE_ONLY:
+            assert not any(isinstance(c, np.ndarray) and c.dtype == np.float64
+                           for c in held)
+
+    def test_unread_array_dies_with_its_tensor(self):
+        # add's closure keeps shapes only and tanh's its own output, so
+        # nothing on the tape reads the sum once its Tensor is dropped.
+        p = Tensor([[1.0, -2.0]], requires_grad=True)
+        q = Tensor([[0.5, 3.0]], requires_grad=True)
+
+        def grads(drop):
+            s = add(p, q)
+            ref = weakref.ref(s.data)
+            loss = reduce_mean(hadamard(tanh(s), q))
+            if drop:
+                del s
+                assert ref() is None
+            return backward(loss, [p, q])
+
+        kept, dropped = grads(False), grads(True)
+        for t in (p, q):
+            assert dropped[t].tobytes() == kept[t].tobytes()
+
+    def test_edlstm_step_tape_size(self):
+        # Criterion 4's shape: hidden 100/100, batch 64, five levels.
+        # Keeping every forward array holds 16.2 MiB here; keeping only
+        # what backward reads, 5.5 MiB.
+        spec = ModelSpec(family="edlstm", features=1, window=5, horizons=10,
+                         hidden1=100, hidden2=100,
+                         quantiles=DEFAULT_QUANTILES)
+        model = build_model(spec, SeededRng(0))
+        rng = np.random.default_rng(0)
+        inputs = rng.uniform(size=(64, 5, 1))
+        targets = rng.uniform(size=(64, 10))
+        tracemalloc.start()
+        try:
+            value = quantile_loss_batch(
+                targets, forward_pass(model, inputs), spec.quantiles)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * 2**20, held / 2**20
+        assert set(backward(value.node, list(model.params.values()))) \
+            == set(model.params.values())
 
 
 class TestVisitOrder:
