@@ -21,12 +21,20 @@ the default quantile levels or `losses.mse_loss_batch`, backward, Adam),
 or one whole 30-iteration quantile-linear fit at the levels 0.05, 0.5
 and 0.95.
 
+After the timed steps and the extra step, each side predicts the 597
+test windows of the split once: a neural family through
+`models.forward_pass(model.frozen(), ...)`, quantile-linear through
+`baselines.predict`.
+
 Prints one JSON object: ms per step and the median minor page faults
 per step of each side, the A/B ratio of the total and of the median step
 time, each side's tracemalloc peak over one extra, untimed step
 (`*_step_peak_mb`, in MiB), and whether the two sides' parameters stayed
-bitwise equal after it. When the two sides' median minor faults per step
-differ, it also prints one warning line on stderr (see the caveat below).
+bitwise equal after it; then each side's tracemalloc peak and minor page
+faults over its prediction (`*_predict_peak_mb`, `*_predict_minor_faults`)
+and whether the two predictions are bitwise equal. When the two sides'
+median minor faults per step differ, it also prints one warning line on
+stderr (see the caveat below).
 
 Caveat: both sides share one process and so one glibc heap, and each
 side's allocations change where the other's arrays land. When the two
@@ -147,6 +155,24 @@ class Side:
         finally:
             tracemalloc.stop()
 
+    def predict(self) -> tuple[np.ndarray, float, int]:
+        """The test split's predictions, with the tracemalloc peak (MiB)
+        and the minor page faults of making them."""
+        inputs = self.data.test_inputs
+        tracemalloc.start()
+        try:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            if self.model is None:
+                pred = self.qf.baselines.predict(self.fit, inputs)
+            else:
+                pred = self.qf.models.forward_pass(self.model.frozen(),
+                                                   inputs).data
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt \
+                - faults
+            return pred, tracemalloc.get_traced_memory()[1] / 2**20, faults
+        finally:
+            tracemalloc.stop()
+
     def state(self) -> list[np.ndarray]:
         if self.model is None:
             return [self.fit.coef, self.fit.intercept,
@@ -189,6 +215,8 @@ def main(argv=None) -> int:
         for side in ((a, b) if s % 2 == 0 else (b, a)):
             side.timed_step(index, record)
     peaks = a.step_peak_mb(extra), b.step_peak_mb(extra)
+    (pred_a, peak_a, faults_a), (pred_b, peak_b, faults_b) = (
+        a.predict(), b.predict())
 
     ms_a = 1e3 * np.asarray(a.seconds)
     ms_b = 1e3 * np.asarray(b.seconds)
@@ -205,6 +233,11 @@ def main(argv=None) -> int:
         "b_step_peak_mb": peaks[1],
         "bitwise_equal": all(x.tobytes() == y.tobytes()
                              for x, y in zip(a.state(), b.state())),
+        "a_predict_peak_mb": peak_a,
+        "b_predict_peak_mb": peak_b,
+        "a_predict_minor_faults": faults_a,
+        "b_predict_minor_faults": faults_b,
+        "predictions_bitwise_equal": pred_a.tobytes() == pred_b.tobytes(),
     }
     print(json.dumps(summary, indent=1))
     if summary["a_minor_faults_per_step"] != summary["b_minor_faults_per_step"]:

@@ -13,6 +13,9 @@ own, with the same relative paths on both sides. The list holds:
 - 2-run Mackey-Glass campaigns of all five families, quantile and
   classic (neural ones at 3 epochs on 400 steps);
 - a classic edlstm campaign on cropped Lorenz;
+- `mg-edlstm-blocked`, a five-level quantile edlstm campaign (hidden
+  8/8, 1 epoch) on 1,700 Mackey-Glass steps, whose 337-window test split
+  is predicted in two blocks (`models.PREDICT_ROWS` is 320);
 - multivariate `csv` campaigns on a generated market-format file;
 - `generate` outputs, the `gradcheck` lines and a `report`
   re-aggregation;
@@ -100,6 +103,11 @@ def commands(quick: bool) -> list[tuple[str, list[str], dict]]:
           "--data-offset", "500", "--data-limit", "300", "--epochs", "2",
           "--batch-size", "32", "--learning-rate", "1e-3",
           "--out", "lorenz-edlstm-classic"], {}),
+        ("mg-edlstm-blocked",
+         ["experiment", "--dataset", "mackey-glass", "--family", "edlstm",
+          "--quantile", "--runs", "2", "--data-steps", "1700",
+          "--hidden1", "8", "--hidden2", "8", "--epochs", "1",
+          "--out", "mg-edlstm-blocked"], {}),
         ("market-convlstm", ["experiment", "--dataset", "csv", "--strategy",
                              "multivariate", "--csv-path", "market.csv",
                              "--family", "convlstm", "--runs", "2",

@@ -24,9 +24,12 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     hands back its gradient before the node passes it on, and a node's
     contributions are summed in descending consumer-id order.
 
-    The recorded graph is consumed: op records drop their parents and
-    closures afterwards, so a second reverse pass through the same nodes
-    raises instead of silently returning zeros.
+    The recorded graph is consumed as the walk goes: the walk takes each
+    op record's closure and leaves the record consumed, with no parents
+    and no closure, so the arrays only that closure reads are freed once
+    it has run, before the next record's closure runs. A second reverse
+    pass through the same nodes raises instead of silently returning
+    zeros.
     """
     if loss.size != 1:
         raise NotScalar(f"loss must be scalar-shaped, got shape {loss.shape}")
@@ -50,15 +53,19 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     for node_id in sorted(reachable, reverse=True):
         node = reachable[node_id]
         g = grads.pop(node_id, None)
-        if g is None:
-            continue
-        if node.backward_fn is None:
-            if node.requires_grad:
+        backward_fn = node.backward_fn
+        if backward_fn is None:
+            if g is not None and node.requires_grad:
                 # An op may hand back a read-only view (reduce_mean's
                 # broadcast); the caller gets an array it can update.
                 table[node] = g if g.flags.writeable else g.copy()
             continue
-        for parent, pg in node.backward_fn(g):
+        node.consumed = True
+        node.parents = ()
+        node.backward_fn = None
+        if g is None:
+            continue
+        for parent, pg in backward_fn(g):
             key = parent.node_id
             acc = grads.get(key)
             if acc is None:
@@ -68,12 +75,6 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
             else:
                 grads[key] = acc + pg
                 owned.add(key)
-
-    for node in reachable.values():
-        if node.backward_fn is not None:
-            node.consumed = True
-            node.parents = ()
-            node.backward_fn = None
 
     if params is not None:
         for p in params:

@@ -1,5 +1,6 @@
 """Smoke test of scripts/ab_steps.py: two paths to this checkout train
-bitwise-equal and report positive step times and step memory peaks."""
+and predict bitwise-equal and report positive step times and step and
+prediction memory peaks."""
 
 import json
 import subprocess
@@ -26,3 +27,7 @@ def test_same_checkout_twice_is_bitwise_equal(flags):
     assert summary["bitwise_equal"] is True
     assert summary["a_ms_per_step"] > 0 and summary["b_ms_per_step"] > 0
     assert summary["a_step_peak_mb"] > 0 and summary["b_step_peak_mb"] > 0
+    for side in ("a", "b"):
+        assert summary[f"{side}_predict_peak_mb"] > 0
+        assert summary[f"{side}_predict_minor_faults"] >= 0
+    assert summary["predictions_bitwise_equal"] is True

@@ -204,6 +204,54 @@ class TestTapeContract:
         assert set(backward(value.node, list(model.params.values()))) \
             == set(model.params.values())
 
+    def test_edlstm_backward_overshoot(self):
+        # Same step: freeing each record as the walk passes it keeps
+        # backward within 0.8 MiB of what the tape held before it; freeing
+        # the whole tape after the walk overshot by 1.96 MiB.
+        spec = ModelSpec(family="edlstm", features=1, window=5, horizons=10,
+                         hidden1=100, hidden2=100,
+                         quantiles=DEFAULT_QUANTILES)
+        model = build_model(spec, SeededRng(0))
+        rng = np.random.default_rng(0)
+        inputs = rng.uniform(size=(64, 5, 1))
+        targets = rng.uniform(size=(64, 10))
+        tracemalloc.start()
+        try:
+            value = quantile_loss_batch(
+                targets, forward_pass(model, inputs), spec.quantiles)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = backward(value.node, list(model.params.values()))
+            overshoot = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert overshoot <= 1.25 * 2**20, overshoot / 2**20
+        assert set(grads) == set(model.params.values())
+
+    def test_closure_freed_before_next_closure_runs(self):
+        # tanh's closure alone holds its output once its Tensor is gone;
+        # by the time the lower-id sigmoid closure runs, it must be freed.
+        p = Tensor([[0.3, -1.2]], requires_grad=True)
+        s = sigmoid(p)
+        t = tanh(s)
+        held_by_tanh = weakref.ref(t.data)
+        loss = reduce_mean(t)
+        del t
+        seen = []
+        sigmoid_fn = s.record.backward_fn
+
+        def probe(g):
+            seen.append(held_by_tanh() is None)
+            return sigmoid_fn(g)
+
+        s.record.backward_fn = probe
+        grad = backward(loss, [p])[p]
+        assert seen == [True]
+        sig = 1.0 / (1.0 + np.exp(-p.data))
+        expected = 0.5 * (1.0 - np.tanh(sig) ** 2) * sig * (1.0 - sig)
+        assert np.allclose(grad, expected, rtol=1e-12, atol=0)
+        assert s.consumed and s.backward_fn is None and s.parents == ()
+
 
 class TestVisitOrder:
     def test_contributions_sum_in_descending_consumer_id_order(self):

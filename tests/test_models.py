@@ -1,6 +1,8 @@
 """Architecture wiring, parameter inventories, and the LSTM cell against an
 independent straight-line oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from quantforecast.engine import (SeededRng, Tensor, add, concat, conv1d,
                                   matmul, reshape)
 from quantforecast.errors import ConfigError, NumericalError, ShapeError
 from quantforecast.losses import DEFAULT_QUANTILES
-from quantforecast.models import (FAMILIES, ModelSpec, build_model,
-                                  forward_pass)
+from quantforecast.models import (FAMILIES, PREDICT_ROWS, ModelSpec,
+                                  build_model, forward_pass)
 
 from lstm_oracle import lstm_cell_step
 
@@ -391,3 +393,39 @@ class TestForwardOracles:
         assert frozen.parents == () and frozen.backward_fn is None
         assert frozen.data.tobytes() == recorded.data.tobytes()
 
+
+def prediction_model(family, hidden, levels):
+    quantiles = {1: (0.5,), 3: (0.05, 0.5, 0.95), 5: DEFAULT_QUANTILES}
+    spec = ModelSpec(family=family, features=1, window=5, horizons=10,
+                     hidden1=hidden, hidden2=hidden,
+                     quantiles=quantiles[levels])
+    return build_model(spec, SeededRng(3))
+
+
+class TestBlockedPrediction:
+    # 597 is the Mackey-Glass test split (3000 steps, d=5, m=10); 641 is
+    # two full blocks and a one-row tail, which joins the second block.
+    @pytest.mark.parametrize("windows", [597, 2 * PREDICT_ROWS + 1])
+    @pytest.mark.parametrize("family, hidden, levels", [
+        ("edlstm", 100, 5), ("edlstm", 100, 1), ("lstm", 50, 3)])
+    def test_frozen_blocks_equal_one_recorded_pass(self, family, hidden,
+                                                   levels, windows):
+        model = prediction_model(family, hidden, levels)
+        inputs = np.random.default_rng(windows).uniform(size=(windows, 5, 1))
+        frozen = forward_pass(model.frozen(), inputs)
+        recorded = forward_pass(model, inputs)
+        assert frozen.shape == (windows, 10, levels)
+        assert frozen.data.tobytes() == recorded.data.tobytes()
+
+    def test_frozen_edlstm_prediction_peak(self):
+        # One pass over all 597 windows peaks at 11.9 MiB (every (597, 400)
+        # gate array at once); blocks of 320 rows, at 6.4 MiB.
+        model = prediction_model("edlstm", 100, 5).frozen()
+        inputs = np.random.default_rng(0).uniform(size=(597, 5, 1))
+        tracemalloc.start()
+        try:
+            forward_pass(model, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, peak / 2**20
