@@ -24,7 +24,10 @@ and 0.95.
 After the timed steps and the extra step, each side predicts the 597
 test windows of the split once: a neural family through
 `models.forward_pass(model.frozen(), ...)`, quantile-linear through
-`baselines.predict`.
+`baselines.predict`. Then each side trains a fresh model from the same
+seed for one `training.train()` epoch over the 2,389 training windows at
+the same batch size (quantile-linear makes one more whole fit), since a
+single step cannot show what the loop keeps from one step to the next.
 
 Prints one JSON object: ms per step and the median minor page faults
 per step of each side, the A/B ratio of the total and of the median step
@@ -32,7 +35,8 @@ time, each side's tracemalloc peak over one extra, untimed step
 (`*_step_peak_mb`, in MiB), and whether the two sides' parameters stayed
 bitwise equal after it; then each side's tracemalloc peak and minor page
 faults over its prediction (`*_predict_peak_mb`, `*_predict_minor_faults`)
-and whether the two predictions are bitwise equal. When the two sides'
+and whether the two predictions are bitwise equal; then each side's
+tracemalloc peak over its epoch (`*_epoch_peak_mb`). When the two sides'
 median minor faults per step differ, it also prints one warning line on
 stderr (see the caveat below).
 
@@ -75,6 +79,7 @@ WARMUP_STEPS = 10
 SEED = 0
 LINEAR_QUANTILES = (0.05, 0.5, 0.95)
 LINEAR_ITERATIONS = 30
+LEARNING_RATE = 1e-3
 
 
 def load(checkout: str, name: str) -> types.SimpleNamespace:
@@ -112,11 +117,12 @@ class Side:
         self.quantiles = (qf.losses.DEFAULT_QUANTILES
                           if args.loss == "quantile" else (0.5,))
         hidden1, hidden2 = qf.experiment.DEFAULT_HIDDEN[args.family]
-        spec = qf.models.ModelSpec(
+        self.spec = qf.models.ModelSpec(
             family=args.family, features=1, window=5, horizons=10,
             hidden1=hidden1, hidden2=hidden2, quantiles=self.quantiles)
-        self.model = qf.models.build_model(spec, qf.engine.SeededRng(SEED))
-        self.adam = qf.training.AdamState(learning_rate=1e-3)
+        self.model = qf.models.build_model(self.spec,
+                                           qf.engine.SeededRng(SEED))
+        self.adam = qf.training.AdamState(learning_rate=LEARNING_RATE)
 
     def step(self, index: np.ndarray) -> None:
         qf = self.qf
@@ -151,6 +157,27 @@ class Side:
         tracemalloc.start()
         try:
             self.step(index)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def epoch_peak_mb(self) -> float:
+        """The tracemalloc peak of one training epoch of a fresh model
+        (one whole fit for quantile-linear), in MiB."""
+        qf = self.qf
+        tracemalloc.start()
+        try:
+            if self.model is None:
+                qf.baselines.fit_quantile_linear(
+                    self.data, self.quantiles, iterations=LINEAR_ITERATIONS)
+            else:
+                model = qf.models.build_model(self.spec,
+                                              qf.engine.SeededRng(SEED))
+                config = qf.training.TrainConfig(
+                    epochs=1, batch_size=self.args.batch,
+                    learning_rate=LEARNING_RATE, loss=self.args.loss)
+                qf.training.train(model, self.data, config,
+                                  qf.engine.SeededRng(SEED))
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -217,6 +244,7 @@ def main(argv=None) -> int:
     peaks = a.step_peak_mb(extra), b.step_peak_mb(extra)
     (pred_a, peak_a, faults_a), (pred_b, peak_b, faults_b) = (
         a.predict(), b.predict())
+    epoch_peaks = a.epoch_peak_mb(), b.epoch_peak_mb()
 
     ms_a = 1e3 * np.asarray(a.seconds)
     ms_b = 1e3 * np.asarray(b.seconds)
@@ -238,6 +266,8 @@ def main(argv=None) -> int:
         "a_predict_minor_faults": faults_a,
         "b_predict_minor_faults": faults_b,
         "predictions_bitwise_equal": pred_a.tobytes() == pred_b.tobytes(),
+        "a_epoch_peak_mb": epoch_peaks[0],
+        "b_epoch_peak_mb": epoch_peaks[1],
     }
     print(json.dumps(summary, indent=1))
     if summary["a_minor_faults_per_step"] != summary["b_minor_faults_per_step"]:

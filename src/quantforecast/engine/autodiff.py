@@ -30,6 +30,11 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
     it has run, before the next record's closure runs. A second reverse
     pass through the same nodes raises instead of silently returning
     zeros.
+
+    A slice hands back a (shape, index, values) triple: the values are
+    added into index of one zero-initialised buffer of that shape per
+    parent, which the parent's other contributions are then added to, so
+    the slices of one parent never build or sum full-width arrays.
     """
     if loss.size != 1:
         raise NotScalar(f"loss must be scalar-shaped, got shape {loss.shape}")
@@ -68,7 +73,14 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
         for parent, pg in backward_fn(g):
             key = parent.node_id
             acc = grads.get(key)
-            if acc is None:
+            if type(pg) is tuple:
+                shape, index, pg = pg
+                if key not in owned:
+                    acc = grads[key] = (np.zeros(shape) if acc is None
+                                        else acc.copy())
+                    owned.add(key)
+                acc[index] += pg
+            elif acc is None:
                 grads[key] = pg
             elif key in owned:
                 acc += pg
@@ -78,6 +90,7 @@ def backward(loss: Tensor, params=None) -> dict[Tensor, np.ndarray]:
 
     if params is not None:
         for p in params:
-            table.setdefault(p, np.zeros(p.shape))
+            if p not in table:
+                table[p] = np.zeros(p.shape)
     return table
 

@@ -2,8 +2,13 @@
 
 Every op validates input shapes, computes the forward value and, when a
 gradient can reach it, records the node on the tape with a closure that
-maps the output gradient to the gradients of the parents a gradient can
-reach; constants such as input windows and loss targets get none.
+maps the output gradient to (entry, gradient) pairs for the parents a
+gradient can reach; constants such as input windows and loss targets get
+none. A gradient is an array of the parent's shape, except slice's: it
+hands back a (shape, index, values) triple, and backward() adds the
+values into index of one zero-initialised buffer of that shape per
+parent, so the slices of one parent share a buffer and are never summed
+at full width.
 
 A closure holds its parents' tape entries and only the arrays its
 gradient reads: matmul and hadamard both operands, conv1d the input
@@ -53,9 +58,10 @@ def _node(op: str, data: np.ndarray, parents, backward_fn) -> Tensor:
     # Off every gradient path (no parent is live) the result keeps neither
     # its parents nor its closure, so a forward pass through frozen
     # tensors holds no tape.
-    if any(_live(p) for p in parents):
-        return _op_result(data, op, tuple(p.entry for p in parents),
-                          backward_fn)
+    for p in parents:
+        if _live(p):
+            return _op_result(data, op, tuple([q.entry for q in parents]),
+                              backward_fn)
     return _op_result(data, op)
 
 
@@ -176,6 +182,9 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
+    """The [start, stop) range of one axis. Its closure hands back
+    (parent shape, index, gradient), which backward() adds into the
+    parent's one buffer, not a zero-filled array of the parent's shape."""
     a = _wrap(a)
     if not (0 <= start < stop <= a.shape[axis]):
         raise ShapeError("slice", a.shape, (start, stop))
@@ -185,9 +194,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     ea, a_shape = a.entry, a.shape
 
     def backward_fn(g):
-        full = np.zeros(a_shape)
-        full[index] = g
-        return [(ea, full)]
+        return [(ea, (a_shape, index, g))]
 
     return _node("slice", a.data[index], (a,), backward_fn)
 
@@ -207,11 +214,17 @@ def reshape(a, shape) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
+    """Logistic function, split by sign so exp never overflows: where(x >=
+    0, 1, e) / (1 + e) with e = exp(-|x|). The steps run in that order on
+    one reused temporary and the result array, not six fresh arrays."""
     a = _wrap(a)
-    # Split by sign so exp never overflows.
     x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     ea = a.entry
 
     def backward_fn(g):

@@ -105,11 +105,25 @@ def _batch_loss(model: Model, inputs: np.ndarray, targets: np.ndarray,
         raise NumericalError(f"{model.spec.family} loss: {exc}") from exc
 
 
+def _step(model: Model, inputs: np.ndarray, targets: np.ndarray,
+          kind: str, adam: AdamState) -> float:
+    """One forward, backward and Adam update; returns the batch loss. The
+    gradient table and the loss die with this call, so no step's arrays
+    live on through the next step."""
+    value = _batch_loss(model, inputs, targets, kind)
+    grads = backward(value.node, params=list(model.params.values()))
+    adam_step(model.params, grads, adam)
+    return value.total
+
+
 def train(model: Model, dataset, config: TrainConfig,
           rng: SeededRng) -> TrainResult:
     """Train on the dataset's training split; returns the per-epoch mean
     loss trace. Raises TrainingDiverged, naming the epoch and the failing
-    stage, if the loss or a gradient goes non-finite."""
+    stage, if the loss or a gradient goes non-finite.
+
+    Each step runs in its own call, so its gradient table and loss are
+    freed before the next step's forward pass starts."""
     inputs = dataset.train_inputs
     targets = dataset.train_targets
     n = inputs.shape[0]
@@ -125,13 +139,11 @@ def train(model: Model, dataset, config: TrainConfig,
         for lo in range(0, n, config.batch_size):
             index = order[lo:lo + config.batch_size]
             try:
-                value = _batch_loss(model, inputs[index], targets[index],
-                                    config.loss)
-                grads = backward(value.node, params=list(model.params.values()))
-                adam_step(model.params, grads, adam)
+                total = _step(model, inputs[index], targets[index],
+                              config.loss, adam)
             except NumericalError as exc:
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}: {exc}") from exc
-            epoch_sum += value.total * len(index)
+            epoch_sum += total * len(index)
         losses.append(epoch_sum / n)
     return TrainResult(epoch_losses=losses)

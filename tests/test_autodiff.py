@@ -253,6 +253,113 @@ class TestTapeContract:
         assert s.consumed and s.backward_fn is None and s.parents == ()
 
 
+def dense_slice(a, axis, start, stop):
+    """slice_axis as a closure that hands back a zero-filled array of the
+    parent's shape, which backward() sums at full width."""
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(start, stop)
+    index = tuple(index)
+    ea, shape = a.entry, a.shape
+
+    def backward_fn(g):
+        full = np.zeros(shape)
+        full[index] = g
+        return [(ea, full)]
+
+    return _op_result(a.data[index], "slice", (ea,), backward_fn)
+
+
+def _weighted(t, seed):
+    w = np.random.default_rng(seed).standard_normal(t.shape)
+    return reduce_mean(hadamard(t, Tensor(w)))
+
+
+# Graphs whose parents are read by slices, given the slice op, an input x
+# (4, 6) and a weight w (6, 6); each returns the scalar loss.
+def _disjoint(sl, x, w):
+    z = matmul(x, w)
+    return add(add(_weighted(sl(z, 1, 0, 2), 1), _weighted(sl(z, 1, 2, 5), 2)),
+               _weighted(tanh(sl(z, 1, 5, 6)), 3))
+
+
+def _overlapping(sl, x, w):
+    z = matmul(x, w)
+    return add(add(_weighted(sl(z, 1, 0, 4), 1), _weighted(sl(z, 1, 2, 6), 2)),
+               _weighted(sigmoid(sl(z, 1, 1, 3)), 3))
+
+
+def _dense_first(sl, x, w):
+    z = tanh(matmul(x, w))
+    dense = _weighted(z, 4)
+    return add(dense, add(_weighted(sl(z, 0, 0, 2), 1),
+                          _weighted(sl(z, 1, 3, 6), 2)))
+
+
+def _dense_last(sl, x, w):
+    z = tanh(matmul(x, w))
+    sliced = add(_weighted(sl(z, 0, 0, 2), 1), _weighted(sl(z, 1, 3, 6), 2))
+    return add(sliced, _weighted(z, 4))
+
+
+def _leaf(sl, x, w):
+    return add(add(_weighted(sl(w, 1, 0, 3), 1), _weighted(x, 4)),
+               add(_weighted(sl(w, 1, 3, 6), 2), _weighted(sl(w, 0, 2, 4), 3)))
+
+
+def _with_zeros(sl, x, w):
+    # relu hands back signed zeros, which the two designs may add in a
+    # different order; only their sign can differ.
+    z = matmul(x, w)
+    return add(_weighted(relu(sl(z, 1, 0, 3)), 1),
+               _weighted(relu(sl(z, 1, 2, 6)), 2))
+
+
+SLICE_GRAPHS = {"disjoint": _disjoint, "overlapping": _overlapping,
+                "dense-first": _dense_first, "dense-last": _dense_last,
+                "leaf": _leaf, "with-zeros": _with_zeros}
+
+
+class TestSliceGradients:
+    @pytest.mark.parametrize("graph", sorted(SLICE_GRAPHS))
+    def test_scatter_equals_dense_zero_filled_sum(self, graph):
+        normal = np.random.default_rng(7).standard_normal
+        x_data, w_data = normal((4, 6)), normal((6, 6))
+
+        def grads(slicer):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(w_data, requires_grad=True)
+            loss = SLICE_GRAPHS[graph](slicer, x, w)
+            table = backward(loss, [x, w])
+            return table[x], table[w]
+
+        for got, want in zip(grads(slice_axis), grads(dense_slice)):
+            assert np.array_equal(got, want)
+            if graph != "with-zeros":
+                assert np.all(want != 0.0)
+                assert got.tobytes() == want.tobytes()
+
+    def test_slices_of_one_parent_share_one_buffer(self, monkeypatch):
+        # An LSTM pre-activation read by its four gate slices gets one
+        # (batch, 4h) buffer, into which each slice's gradient is added.
+        p = Tensor(np.random.default_rng(0).standard_normal((2, 8)),
+                   requires_grad=True)
+        z = reshape(p, (2, 8))
+        out = add(add(slice_axis(z, 1, 0, 2), slice_axis(z, 1, 2, 4)),
+                  add(slice_axis(z, 1, 4, 6), slice_axis(z, 1, 6, 8)))
+        made = []
+        real_zeros = np.zeros
+
+        def counting_zeros(shape, *args, **kwargs):
+            made.append(shape)
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", counting_zeros)
+        grad = backward(reduce_mean(out), [p])[p]
+        monkeypatch.undo()
+        assert made == [(2, 8)]
+        assert np.all(grad == 0.25)
+
+
 class TestVisitOrder:
     def test_contributions_sum_in_descending_consumer_id_order(self):
         # Three consumers hand p fixed gradients whose float sum depends on

@@ -1,16 +1,22 @@
 """Adam against closed-form single-step values; training determinism,
-divergence and the op kinds a training step records."""
+divergence, the op kinds a training step records and what a step keeps
+alive."""
 
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from quantforecast import training
-from quantforecast.datapipe import WindowedDataset
+from quantforecast.datapipe import (MackeyGlassParams, WindowedDataset,
+                                    gen_mackey_glass, make_windows,
+                                    normalize_and_split)
 from quantforecast.engine import OP_TABLE, SeededRng, Tensor
 from quantforecast.errors import (ConfigError, NumericalError, ShapeError,
                                   TrainingDiverged)
+from quantforecast.losses import DEFAULT_QUANTILES
 from quantforecast.models import FAMILIES, ModelSpec, build_model, forward_pass
 from quantforecast.training import AdamState, TrainConfig, adam_step, train
 
@@ -273,3 +279,56 @@ class TestQuantileSeparation:
             if lo < mid < hi:
                 votes += 1
         assert votes == 3
+
+
+class TestStepMemory:
+    def test_step_gradients_die_before_next_forward_pass(self, monkeypatch):
+        # Each step's gradient table is freed when the step ends, so none
+        # of its arrays lives through the next step's forward pass.
+        refs = []
+        checked = []
+        real_backward = training.backward
+        real_forward = training.forward_pass
+
+        def keeping_backward(loss, params=None):
+            grads = real_backward(loss, params)
+            refs.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        def checking_forward(model, inputs):
+            checked.append(len(refs))
+            assert all(ref() is None for ref in refs)
+            return real_forward(model, inputs)
+
+        monkeypatch.setattr(training, "backward", keeping_backward)
+        monkeypatch.setattr(training, "forward_pass", checking_forward)
+        spec = ModelSpec(family="lstm", features=1, window=3, horizons=2,
+                         hidden1=3, hidden2=3)
+        train(build_model(spec, SeededRng(0)), linear_dataset(),
+              TrainConfig(epochs=2, batch_size=16), SeededRng(1))
+        # 51 training windows in batches of 16: four steps per epoch, and
+        # every forward pass but the first follows a backward pass.
+        assert len(checked) == 8 and checked[0] == 0 and min(checked[1:]) > 0
+
+    def test_edlstm_epoch_peak(self):
+        # Criterion 4's model (hidden 100/100, five levels, batch 64) on
+        # the 789 training windows of a 1,000-step Mackey-Glass split.
+        # Holding a step's gradients through the next step and summing
+        # full-width slice gradients peaked at 9.4 MiB; freeing each step's
+        # table and scattering slices into one buffer, at 8.3 MiB.
+        series = gen_mackey_glass(MackeyGlassParams(steps=1000), 0)
+        dataset = normalize_and_split(make_windows(series, 5, 10), seed=0)
+        assert dataset.train_inputs.shape[0] == 789
+        spec = ModelSpec(family="edlstm", features=1, window=5, horizons=10,
+                         hidden1=100, hidden2=100,
+                         quantiles=DEFAULT_QUANTILES)
+        model = build_model(spec, SeededRng(0))
+        tracemalloc.start()
+        try:
+            train(model, dataset, TrainConfig(epochs=1, batch_size=64,
+                                              learning_rate=1e-3),
+                  SeededRng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.0 * 2**20, peak / 2**20
